@@ -401,7 +401,8 @@ _STATUS_TO_CLASS = {
     "timeout": Classification.UNDETERMINED,
     "collision": Classification.COLLISION,
     "escape": Classification.ESCAPE,
-    "step-underflow": Classification.COLLISION,
+    # A numerical failure, not a physical outcome: the reason says which.
+    "step-underflow": Classification.UNDETERMINED,
 }
 
 
@@ -520,6 +521,8 @@ def run_both(s0: State, mu: float, cfg: DetectorConfig) -> DetectionOutcome:
         "t_detect_general": gen.t_detect,
         "t_detect_symmetric": sym.t_detect,
     }
+    if gen.classification is Classification.SINGULAR_SEED:
+        diag["general_reason"] = gen.diagnostics["reason"]
     if fired:
         best = min(fired, key=lambda o: o.t_detect)
         merged = dict(best.diagnostics)
@@ -533,15 +536,18 @@ def run_both(s0: State, mu: float, cfg: DetectorConfig) -> DetectionOutcome:
             C=best.C,
             diagnostics=merged,
         )
-    merged = dict(gen.diagnostics)
+    # A seed singular for the general formulation alone keeps the symmetric
+    # outcome, so `both` never reports less than symmetric does.
+    base = sym if gen.classification is Classification.SINGULAR_SEED else gen
+    merged = dict(base.diagnostics)
     merged.update(diag)
     return DetectionOutcome(
-        classification=gen.classification,
+        classification=base.classification,
         t_detect=None,
         q=None,
-        lyapunov=gen.lyapunov,
-        n_sign_events=gen.n_sign_events,
-        C=gen.C,
+        lyapunov=base.lyapunov,
+        n_sign_events=base.n_sign_events,
+        C=base.C,
         diagnostics=merged,
     )
 

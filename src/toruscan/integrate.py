@@ -1,35 +1,38 @@
 """Adaptive embedded Runge-Kutta propagation of joint (state, tangent) systems.
 
 A Dormand-Prince 5(4) pair drives both the flow and its linearisation as one
-first-order system (8 components for the three-body problem, 4 for the
-pendulum oracle).  The driver supports:
+first-order system (8 components for the three-body problem, 4 for the flow
+alone and the pendulum oracle).  The driver supports:
 
 * adaptive steps with the usual error controller, plus a fixed-step mode for
   bit-reproducible runs;
-* tangent renormalization with logarithmic norm accumulation (the monitored
-  sign conditions are homogeneous of degree one in the tangent, so rescaling
-  never changes a detection);
 * bisection refinement of sign changes of scalar observables between
   accepted steps, re-integrating substeps from the stored left endpoint.
+
+One trial step has two implementations.  ``_attempt`` is the readable
+reference: generator expressions over the components, one per stage.
+``_attempt_kernel(n)`` returns the same step for n-dimensional systems as
+straight-line code, generated from the tableau on first use for each n and
+cached.  Every component expression of the kernel performs the reference's
+operations in the reference's order, so its ``(y_new, k7, err)`` equal the
+reference's bit for bit; the kernel only drops the generator and tuple
+machinery, which cost more than the field evaluations themselves.
+``DopriDriver`` steps with the kernel, and the tests compare the kernel with
+the reference.
 """
 
 from __future__ import annotations
 
+import functools
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable, Sequence
-
-from .dynamics import State, TangentVector
 
 __all__ = [
     "IntegratorOptions",
-    "JointState",
     "StepUnderflowError",
     "BracketError",
     "DopriDriver",
-    "step",
-    "renormalize",
-    "refine_sign_change",
     "refine_event",
 ]
 
@@ -105,28 +108,6 @@ class IntegratorOptions:
             raise ValueError("tolerances must be positive")
 
 
-@dataclass(frozen=True)
-class JointState:
-    """State plus tangent vector at one time, with accumulated log norms."""
-
-    s: State
-    eta: TangentVector
-    t: float
-    log_norm_accum: float = 0.0
-
-    def pack(self) -> tuple:
-        return tuple(self.s) + tuple(self.eta)
-
-    @classmethod
-    def unpack(cls, y: Sequence[float], t: float, log_norm_accum: float = 0.0):
-        return cls(
-            s=State(*y[:4]),
-            eta=TangentVector(*y[4:8]),
-            t=t,
-            log_norm_accum=log_norm_accum,
-        )
-
-
 def _attempt(field, opts, y, k1, h):
     """One trial step from y with derivative k1; returns (y_new, k7, err)."""
     y2 = tuple(yi + h * _A21 * a for yi, a in zip(y, k1))
@@ -172,6 +153,89 @@ def _attempt(field, opts, y, k1, h):
     return y_new, k7, math.sqrt(err_sq / len(y))
 
 
+# Rows of the tableau as the kernel generator reads them: the coefficients of
+# k1, k2, ... in the states at which k3 ... k6 are evaluated (k2's state has
+# the single coefficient _A21), the 5th-order solution's weights and the
+# error weights, with None for the zero weight of k2.
+_STAGE_ROWS = (
+    (_A31, _A32),
+    (_A41, _A42, _A43),
+    (_A51, _A52, _A53, _A54),
+    (_A61, _A62, _A63, _A64, _A65),
+)
+_B_ROW = (_B1, None, _B3, _B4, _B5, _B6)
+_E_ROW = (_E1, None, _E3, _E4, _E5, _E6, _E7)
+
+
+def _weighted_sum(row, i):
+    """'c1 * k1_i + c2 * k2_i + ...' over the nonzero weights of row."""
+    return " + ".join(
+        f"{c!r} * k{s}_{i}" for s, c in enumerate(row, start=1) if c is not None
+    )
+
+
+def _kernel_source(n: int) -> str:
+    """Source of _attempt written out for n-dimensional systems.
+
+    Each component keeps the reference's expression and operand order:
+    ``y_i + h * _A21 * k1_i`` (with ``h * _A21`` formed once, as the
+    reference's left-to-right product forms it first), ``y_i + h * (c1 *
+    k1_i + ...)`` for the later stages and the solution, and the error terms
+    summed in component order from 0.0.  ``max(u, v)`` is spelled ``v if
+    v > u else u``, which is how max picks between two values.  Float
+    literals are the constants' reprs, which round-trip exactly.
+    """
+
+    def tup(items):
+        return ", ".join(items) + ("," if n == 1 else "")
+
+    def names(prefix):
+        return tup(f"{prefix}_{i}" for i in range(n))
+
+    def stage(row):
+        return tup(f"y_{i} + h * ({_weighted_sum(row, i)})" for i in range(n))
+
+    lines = [
+        "def attempt(field, opts, y, k1, h):",
+        f"    {names('y')} = y",
+        f"    {names('k1')} = k1",
+        f"    h21 = h * {_A21!r}",
+        f"    {names('k2')} = field(({tup(f'y_{i} + h21 * k1_{i}' for i in range(n))}))",
+    ]
+    for s, row in enumerate(_STAGE_ROWS, start=3):
+        lines.append(f"    {names(f'k{s}')} = field(({stage(row)}))")
+    lines += [
+        f"    y_new = ({stage(_B_ROW)})",
+        "    k7 = field(y_new)",
+        "    if opts.fixed_step:",
+        "        return y_new, k7, 0.0",
+        f"    {names('n')} = y_new",
+        f"    {names('k7')} = k7",
+        "    rel, ab = opts.rel_tol, opts.abs_tol",
+    ]
+    for i in range(n):
+        lines += [
+            f"    u, v = abs(y_{i}), abs(n_{i})",
+            f"    q_{i} = h * ({_weighted_sum(_E_ROW, i)}) / (ab + rel * (v if v > u else u))",
+        ]
+    squares = "".join(f" + q_{i} * q_{i}" for i in range(n))
+    lines += [
+        f"    err_sq = 0.0{squares}",
+        f"    return y_new, k7, sqrt(err_sq / {float(n)!r})",
+    ]
+    return "\n".join(lines) + "\n"
+
+
+@functools.cache
+def _attempt_kernel(n: int):
+    """The straight-line equivalent of _attempt for n-dimensional systems."""
+    if n < 1:
+        raise ValueError(f"state dimension must be positive, got {n}")
+    namespace = {"sqrt": math.sqrt}
+    exec(compile(_kernel_source(n), f"<dopri5 attempt, n={n}>", "exec"), namespace)
+    return namespace["attempt"]
+
+
 def _growth_factor(err):
     if err == 0.0:
         return 5.0
@@ -188,12 +252,14 @@ class DopriDriver:
         self.y: tuple = ()
         self.h = opts.h_init
         self._k1: tuple | None = None
+        self._attempt = _attempt  # reset() picks the kernel for len(y)
 
     def reset(self, t: float, y: Sequence[float], h: float | None = None):
         self.t = t
         self.y = tuple(y)
         self.h = self.opts.h_init if h is None else h
         self._k1 = None
+        self._attempt = _attempt_kernel(len(self.y))
         return self
 
     def step(self, t_limit: float):
@@ -212,7 +278,7 @@ class DopriDriver:
             h_try = min(h, t_limit - t0)
             if h_try <= 0.0:
                 raise ValueError("step() called at or past t_limit")
-            y_new, k7, err = _attempt(self.field, opts, y0, k1, h_try)
+            y_new, k7, err = self._attempt(self.field, opts, y0, k1, h_try)
             if err <= 1.0:
                 clipped = h_try < h
                 grown = (h_try if clipped else h) * _growth_factor(err)
@@ -229,77 +295,6 @@ class DopriDriver:
                     f"step underflow at t = {t0} (scaled error {err:.3g} at h_min)"
                 )
             h = max(opts.h_min, h_try * max(0.1, 0.9 * err ** -0.2))
-
-
-def step(field, js: JointState, h: float, opts: IntegratorOptions):
-    """One accepted embedded-pair step of the joint system from js.
-
-    Returns (JointState, h_next, error_estimate) where error_estimate is the
-    scaled error of the accepted step (<= 1 after acceptance; 0 in fixed-step
-    mode).  The step is retried at smaller h when the estimate exceeds 1.
-    """
-    if not (opts.h_min <= h <= opts.h_max):
-        raise ValueError(f"step size {h} outside [{opts.h_min}, {opts.h_max}]")
-    y0 = js.pack()
-    k1 = field(y0)
-    h_try = h
-    while True:
-        y_new, _, err = _attempt(field, opts, y0, k1, h_try)
-        if err <= 1.0:
-            break
-        if h_try <= opts.h_min:
-            raise StepUnderflowError(f"step underflow at t = {js.t}")
-        h_try = max(opts.h_min, h_try * max(0.1, 0.9 * err ** -0.2))
-    h_next = min(opts.h_max, max(opts.h_min, h_try * _growth_factor(err)))
-    return JointState.unpack(y_new, js.t + h_try, js.log_norm_accum), h_next, err
-
-
-def renormalize(js: JointState, threshold: float) -> JointState:
-    """Rescale the tangent to unit norm once it exceeds threshold.
-
-    The removed factor is accumulated as a log so Lyapunov estimates can be
-    reconstructed; detection quantities are degree-1 homogeneous in the
-    tangent so outcomes are unchanged.
-    """
-    norm = math.sqrt(sum(c * c for c in js.eta))
-    if norm == 0.0:
-        raise ValueError("cannot renormalize a zero tangent vector")
-    if norm <= threshold:
-        return js
-    inv = 1.0 / norm
-    eta = TangentVector(*(c * inv for c in js.eta))
-    return replace(js, eta=eta, log_norm_accum=js.log_norm_accum + math.log(norm))
-
-
-def refine_sign_change(
-    g: Callable[[float], float],
-    t0: float,
-    t1: float,
-    time_tol: float = 1e-11,
-    max_iter: int = 128,
-) -> float:
-    """Bisection root of a scalar observable with g(t0) * g(t1) < 0."""
-    g0, g1 = g(t0), g(t1)
-    if g0 == 0.0:
-        return t0
-    if g1 == 0.0:
-        return t1
-    if (g0 > 0.0) == (g1 > 0.0):
-        raise BracketError(f"no sign change on [{t0}, {t1}]: g = ({g0}, {g1})")
-    a, b = t0, t1
-    ga = g0
-    for _ in range(max_iter):
-        m = 0.5 * (a + b)
-        gm = g(m)
-        if gm == 0.0:
-            return m
-        if (gm > 0.0) == (ga > 0.0):
-            a, ga = m, gm
-        else:
-            b = m
-        if b - a <= time_tol * max(1.0, abs(a), abs(b)):
-            break
-    return 0.5 * (a + b)
 
 
 def refine_event(

@@ -7,12 +7,13 @@ cell-centred in (r, L).  Cells whose seed sits on a singularity of the
 machinery being run are pre-classified SingularSeed: for the general
 formulation these are the zeros of the transverse field (the singularity
 curve plus parallel-gradient points), for the symmetric formulation only the
-equilibria; cells within the exclusion tolerance of a body radius are always
-excluded.
+equilibria, and under `both` a seed singular for the general formulation
+alone runs the symmetric one; cells within the exclusion tolerance of a body
+radius are always excluded.
 
 Cells are independent pure computations, so work is fanned out over a
-process pool in contiguous row blocks and merged by index; classifications
-do not depend on the worker count.
+process pool one row per task and merged by index; classifications do not
+depend on the worker count.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from __future__ import annotations
 import math
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -138,31 +139,42 @@ def _classify_cell(spec, cfg, exclusion_tol, r, L):
         return _singular(plane, r, L, mu, "body-radius")
 
     form = cfg.formulation
-    needs_xi_seed = form in (
-        Formulation.GENERAL,
-        Formulation.BOTH,
-        Formulation.LYAPUNOV_ONLY,
-    )
-    if needs_xi_seed:
-        try:
-            dist = singularity_curve_distance(r, L, mu, plane)
-        except ValueError:
-            dist = 0.0
-        if dist < exclusion_tol:
-            return _singular(plane, r, L, mu, "xi-singularity-curve")
-        degenerate, reason = is_degenerate(seed, mu, tol=exclusion_tol)
-        if degenerate:
-            return _singular(plane, r, L, mu, reason)
+    general_reason = None
+    if form in (Formulation.GENERAL, Formulation.BOTH, Formulation.LYAPUNOV_ONLY):
+        general_reason = _xi_singularity(seed, r, L, mu, plane, exclusion_tol)
+        if general_reason is not None and form is not Formulation.BOTH:
+            return _singular(plane, r, L, mu, general_reason)
     if form in (Formulation.SYMMETRIC, Formulation.BOTH):
         v = vector_field(seed, mu)
         if math.sqrt(v.dx**2 + v.dy**2 + v.dvx**2 + v.dvy**2) < exclusion_tol:
             return _singular(plane, r, L, mu, "equilibrium")
+    if general_reason is not None:
+        # Singular for the general formulation only: `both` still runs the
+        # symmetric one, so it never finds less than symmetric alone.
+        cfg = replace(cfg, formulation=Formulation.SYMMETRIC)
     try:
-        return run_detector(seed, mu, cfg)
+        out = run_detector(seed, mu, cfg)
     except Exception as exc:  # per-cell failures never abort the scan
         out = _singular(plane, r, L, mu, "error")
         out.diagnostics["detail"] = repr(exc)
         return out
+    if general_reason is not None:
+        out.diagnostics.update(
+            general=Classification.SINGULAR_SEED.value, general_reason=general_reason
+        )
+    return out
+
+
+def _xi_singularity(seed, r, L, mu, plane, exclusion_tol):
+    """Why the general formulation cannot seed here, or None if it can."""
+    try:
+        dist = singularity_curve_distance(r, L, mu, plane)
+    except ValueError:
+        dist = 0.0
+    if dist < exclusion_tol:
+        return "xi-singularity-curve"
+    degenerate, reason = is_degenerate(seed, mu, tol=exclusion_tol)
+    return reason if degenerate else None
 
 
 def _singular(plane, r, L, mu, reason) -> DetectionOutcome:
@@ -189,17 +201,10 @@ def _plane_potential(plane, r, mu):
     return effective_potential(x, 0.0, mu)
 
 
-def _scan_block(args):
-    spec, cfg, exclusion_tol, i_lo, i_hi = args
-    r_vals = spec.r_values()
-    l_vals = spec.L_values()
-    rows = []
-    for i in range(i_lo, i_hi):
-        row = [
-            _classify_cell(spec, cfg, exclusion_tol, r_vals[i], L) for L in l_vals
-        ]
-        rows.append((i, row))
-    return rows
+def _scan_row(args):
+    spec, cfg, exclusion_tol, i = args
+    r = spec.r_values()[i]
+    return i, [_classify_cell(spec, cfg, exclusion_tol, r, L) for L in spec.L_values()]
 
 
 def run_scan(
@@ -217,27 +222,21 @@ def run_scan(
     t_start = time.perf_counter()
     n_r = spec.n_r
     cells: list = [None] * n_r
-    if workers <= 1:
-        for i, row in _scan_block((spec, cfg, exclusion_tol, 0, n_r)):
+    tasks = [(spec, cfg, exclusion_tol, i) for i in range(n_r)]
+
+    def collect(rows):
+        for done, (i, row) in enumerate(rows, start=1):
             cells[i] = row
             if progress is not None:
-                progress(i + 1, n_r)
+                progress(done, n_r)
+
+    if workers <= 1:
+        collect(map(_scan_row, tasks))
     else:
         workers = min(workers, n_r)
-        bounds = [round(b * n_r / workers) for b in range(workers + 1)]
-        blocks = [
-            (spec, cfg, exclusion_tol, bounds[b], bounds[b + 1])
-            for b in range(workers)
-            if bounds[b] < bounds[b + 1]
-        ]
-        done = 0
+        # One row per task: a worker that finishes early takes the next row.
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            for rows in pool.map(_scan_block, blocks):
-                for i, row in rows:
-                    cells[i] = row
-                    done += 1
-                    if progress is not None:
-                        progress(done, n_r)
+            collect(pool.map(_scan_row, tasks, chunksize=1))
     runtime = time.perf_counter() - t_start
     counts: dict[str, int] = {}
     for row in cells:

@@ -51,7 +51,8 @@ class ReturnMapResult:
     """Crossings of one orbit plus the reason the sampling stopped.
 
     status is one of 'completed' (n_returns reached), 'timeout', 'no-return'
-    (timeout with zero accepted crossings), 'collision', 'escape'.
+    (timeout with zero accepted crossings), 'collision', 'escape',
+    'step-underflow' (the error tolerance could not be met above h_min).
     """
 
     crossings: list = field(default_factory=list)
@@ -147,7 +148,7 @@ def return_map(
         try:
             t0, y0, t1, y1 = drv.step(cfg.t_out)
         except StepUnderflowError:
-            result.status = "collision"
+            result.status = "step-underflow"
             result.t_end = drv.t
             return result
         flag = _escape_or_collision(y0, y1, mu, opts)

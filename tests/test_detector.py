@@ -69,6 +69,12 @@ class TestGeneralFormulation:
         assert out.t_detect is None
         assert out.diagnostics["t_end"] < 0.01
 
+    def test_step_underflow_is_undetermined_not_collision(self):
+        opts = IntegratorOptions(h_min=0.05, h_init=0.05, rel_tol=1e-14, abs_tol=1e-16)
+        out = run_general(CROSSING_SEED, 0.1, cfg_with(integrator=opts))
+        assert out.classification is Classification.UNDETERMINED
+        assert out.diagnostics["reason"] == "step-underflow"
+
     def test_escape_classification(self):
         out = run_general(plane_point(Plane.THETA0, 3.0, 3.0, 0.1), 0.1, cfg_with())
         assert out.classification is Classification.ESCAPE
@@ -199,6 +205,17 @@ class TestBothAndDispatch:
         assert both.classification is Classification.NONEXISTENCE
         assert both.t_detect == pytest.approx(sym.t_detect, abs=1e-9)
         assert both.diagnostics["general"] == "Nonexistence"
+
+    def test_general_singular_seed_keeps_symmetric_outcome(self):
+        # A parallel-gradient point within degeneracy_tol: general cannot
+        # seed, and symmetric fires only at t = 22.1, after this timeout.
+        s = plane_point(Plane.THETA0, 3.5125, 1.875, 0.1)
+        cfg = cfg_with(t_out=10.0, degeneracy_tol=1e-3)
+        both = run_both(s, 0.1, cfg)
+        assert both.classification is Classification.UNDETERMINED
+        assert both.diagnostics["general"] == "SingularSeed"
+        assert both.diagnostics["general_reason"] == "parallel-gradients"
+        assert both.diagnostics["symmetric"] == "Undetermined"
 
     def test_dispatch_matches_formulation(self):
         out = run(CROSSING_SEED, 0.1, cfg_with(formulation=Formulation.GENERAL))

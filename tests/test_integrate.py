@@ -1,19 +1,18 @@
 import math
+import random
 
 import numpy as np
 import pytest
 
-from toruscan.dynamics import State, TangentVector, flow_field, hamiltonian, joint_field
+from toruscan.dynamics import State, flow_field, hamiltonian, joint_field
 from toruscan.integrate import (
     BracketError,
     DopriDriver,
     IntegratorOptions,
-    JointState,
     StepUnderflowError,
+    _attempt,
+    _attempt_kernel,
     refine_event,
-    refine_sign_change,
-    renormalize,
-    step,
 )
 
 
@@ -70,67 +69,56 @@ class TestAdaptiveStepping:
         assert runs[0] == runs[1]
 
 
-class TestStepFunction:
-    def test_joint_state_contract(self):
-        s = State(1.5, 0.0, 0.0, 0.5 / 1.5 - 1.5)
-        js = JointState(s=s, eta=TangentVector(1.0, 0.0, 0.0, 0.0), t=0.0)
-        opts = IntegratorOptions()
-        js1, h_next, err = step(joint_field(0.1), js, 1e-3, opts)
-        assert js1.t > 0.0
-        assert err <= 1.0
-        assert opts.h_min <= h_next <= opts.h_max
-        assert js1.log_norm_accum == 0.0
-
-    def test_rejects_out_of_range_h(self):
-        js = JointState(
-            s=State(1.5, 0.0, 0.0, 0.2),
-            eta=TangentVector(1.0, 0.0, 0.0, 0.0),
-            t=0.0,
-        )
-        with pytest.raises(ValueError):
-            step(joint_field(0.1), js, 1.0, IntegratorOptions(h_max=0.1))
-
-    def test_oversized_step_is_retried_smaller(self):
-        js = JointState(
-            s=State(1.02, 0.0, 0.0, 0.3 / 1.02 - 1.02),
-            eta=TangentVector(1.0, 0.0, 0.0, 0.0),
-            t=0.0,
-        )
-        opts = IntegratorOptions(h_max=0.1)
-        js1, _, err = step(joint_field(0.1), js, 0.1, opts)
-        assert err <= 1.0
-        assert js1.t < 0.1  # close to the secondary, 0.1 cannot satisfy tol
+def pendulum_like_field(y):
+    x, v = y
+    return (v, -math.sin(x))
 
 
-class TestRenormalize:
-    def test_rescales_and_accumulates_log(self):
-        js = JointState(
-            s=State(1.0, 0.0, 0.0, 0.0),
-            eta=TangentVector(1e6, 0.0, 0.0, 0.0),
-            t=1.0,
-        )
-        out = renormalize(js, 1e4)
-        assert out.eta == pytest.approx((1.0, 0.0, 0.0, 0.0))
-        assert out.log_norm_accum == pytest.approx(math.log(1e6))
-        assert out.s == js.s and out.t == js.t
+class TestAttemptKernel:
+    """The straight-line kernel against the reference _attempt."""
 
-    def test_below_threshold_unchanged(self):
-        js = JointState(
-            s=State(1.0, 0.0, 0.0, 0.0),
-            eta=TangentVector(1.0, 0.0, 0.0, 0.0),
-            t=0.0,
-        )
-        assert renormalize(js, 1e4) is js
+    FIELDS = {2: pendulum_like_field, 4: flow_field(0.1), 8: joint_field(0.1)}
+
+    @pytest.mark.parametrize("n", [2, 4, 8])
+    @pytest.mark.parametrize(
+        "opts",
+        [IntegratorOptions(), IntegratorOptions(fixed_step=True)],
+        ids=["adaptive", "fixed-step"],
+    )
+    def test_bit_identical_to_reference(self, n, opts):
+        rng = random.Random(20240817 + n)
+        field = self.FIELDS[n]
+        kernel = _attempt_kernel(n)
+        for _ in range(200):
+            y = tuple(rng.uniform(-2.0, 2.0) for _ in range(n))
+            h = rng.uniform(1e-5, 1e-1)
+            k1 = field(y)
+            assert kernel(field, opts, y, k1, h) == _attempt(field, opts, y, k1, h)
+
+    def test_driver_steps_with_kernel_and_matches_reference_trajectory(self):
+        y0 = (1.3, 0.0, 0.0, -0.4, 1.0, 0.0, 0.0, 0.0)
+        fast = DopriDriver(joint_field(0.1), IntegratorOptions()).reset(0.0, y0)
+        assert fast._attempt is _attempt_kernel(8)
+        slow = DopriDriver(joint_field(0.1), IntegratorOptions()).reset(0.0, y0)
+        slow._attempt = _attempt
+        for _ in range(200):
+            assert fast.step(50.0) == slow.step(50.0)
+            assert fast.h == slow.h
 
 
 class TestRefinement:
-    def test_linear_observable(self):
-        t = refine_sign_change(lambda t: t - 1.0, 0.0, 2.0)
-        assert t == pytest.approx(1.0, abs=1e-10)
-
     def test_invalid_bracket(self):
         with pytest.raises(BracketError):
-            refine_sign_change(lambda t: 1.0 + t, 0.0, 2.0)
+            refine_event(
+                harmonic_field,
+                IntegratorOptions(),
+                0.0,
+                (1.0, 0.0),
+                1.0,
+                lambda y: y[0],
+                1.0,
+                0.5,
+            )
 
     @staticmethod
     def _apsis_time(rel_tol):

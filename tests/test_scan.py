@@ -10,6 +10,7 @@ from toruscan.foliation import Plane
 from toruscan.integrate import IntegratorOptions
 from toruscan.scan import (
     PlaneSeedSpec,
+    _classify_cell,
     assemble_overlays,
     plane_point,
     q_heatmap,
@@ -77,8 +78,10 @@ class TestRunScan:
     def test_deterministic_across_worker_counts(self):
         spec = PlaneSeedSpec(Plane.THETA0, 0.5, 3.0, 6, -1.5, 1.5, 6, 0.1)
         cfg = DetectorConfig(t_out=5.0)
-        seq = run_scan(spec, cfg, workers=1)
-        par = run_scan(spec, cfg, workers=2)
+        calls = {1: [], 2: []}
+        seq = run_scan(spec, cfg, workers=1, progress=lambda *a: calls[1].append(a))
+        par = run_scan(spec, cfg, workers=2, progress=lambda *a: calls[2].append(a))
+        assert calls[1] == calls[2] == [(k, 6) for k in range(1, 7)]
         for i in range(6):
             for j in range(6):
                 a, b = seq.cells[i][j], par.cells[i][j]
@@ -138,6 +141,45 @@ class TestRunScan:
                 assert (
                     a.cells[i][j].classification is b.cells[i][j].classification
                 )
+
+
+class TestBothFormulation:
+    """`both` never finds less than either formulation alone."""
+
+    @staticmethod
+    def _nonexistence(spec, t_out, formulation):
+        res = run_scan(spec, DetectorConfig(t_out=t_out, formulation=formulation))
+        return res, {
+            (i, j)
+            for i, row in enumerate(res.cells)
+            for j, out in enumerate(row)
+            if out.classification is Classification.NONEXISTENCE
+        }
+
+    def test_general_singular_cells_keep_symmetric_detection(self):
+        # Cells (4, 9) and (10, 10) of the 12 x 12 grid are parallel-gradient
+        # points for the general formulation; symmetric fires on both.
+        spec = PlaneSeedSpec(Plane.THETA0, 0.1, 4.0, 12, -2.5, 2.5, 12, 0.1)
+        r, L = spec.r_values(), spec.L_values()
+        cfg = DetectorConfig(t_out=40.0, formulation=Formulation.BOTH)
+        for (i, j), t_sym in (((4, 9), 2.83), ((10, 10), 22.1)):
+            out = _classify_cell(spec, cfg, 1e-3, r[i], L[j])
+            assert out.classification is Classification.NONEXISTENCE
+            assert out.t_detect == pytest.approx(t_sym, abs=0.01)
+            assert out.diagnostics["general"] == "SingularSeed"
+            assert out.diagnostics["general_reason"] == "parallel-gradients"
+
+    def test_both_contains_symmetric_and_general_cell_by_cell(self):
+        spec = PlaneSeedSpec(Plane.THETA0, 0.1, 4.0, 8, -2.5, 2.5, 8, 0.1)
+        _, ne_gen = self._nonexistence(spec, 4.0, Formulation.GENERAL)
+        _, ne_sym = self._nonexistence(spec, 4.0, Formulation.SYMMETRIC)
+        both, ne_both = self._nonexistence(spec, 4.0, Formulation.BOTH)
+        assert ne_both >= ne_sym | ne_gen
+        # The grid holds general-singular cells where symmetric fires.
+        assert any(
+            both.cells[i][j].diagnostics.get("general") == "SingularSeed"
+            for i, j in ne_sym
+        )
 
 
 class TestQHeatmap:

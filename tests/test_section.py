@@ -100,6 +100,13 @@ class TestReturnMap:
         res = return_map(s, 0.1, 3, DetectorConfig(t_out=60.0))
         assert res.status == "escape"
 
+    def test_step_underflow_is_not_collision(self):
+        opts = IntegratorOptions(h_min=0.05, h_init=0.05, rel_tol=1e-14, abs_tol=1e-16)
+        s = plane_point(Plane.THETA0, 1.5, 0.5, 0.1)
+        res = return_map(s, 0.1, 3, DetectorConfig(integrator=opts))
+        assert res.status == "step-underflow"
+        assert res.crossings == []
+
     def test_rejects_bad_count(self):
         with pytest.raises(ValueError):
             return_map(State(1.5, 0, 0, 0.2), 0.1, 0, DetectorConfig())
