@@ -21,12 +21,13 @@ from .config import (
     RunConfig,
     make_config,
     parse_config,
+    parse_value,
     provenance,
     to_detector_config,
+    to_integrator_options,
     to_plane_spec,
 )
 from .detector import lyapunov_estimate, run as run_detector
-from .integrate import IntegratorOptions
 from .output import (
     curves_csv_text,
     outcome_to_dict,
@@ -42,46 +43,19 @@ from .pendulum import pendulum_detect
 from .scan import assemble_overlays, plane_point, run_scan
 from .section import return_map
 
-_FLOAT_KEYS = (
-    "mu",
-    "r_min",
-    "r_max",
-    "L_min",
-    "L_max",
-    "t_out",
-    "rel_tol",
-    "abs_tol",
-    "h_init",
-    "h_min",
-    "h_max",
-    "renorm_threshold",
-    "collision_radius",
-    "escape_radius",
-    "exclusion_tol",
-    "bar_m",
-    "q0",
-    "p0_min",
-    "p0_max",
-)
-_INT_KEYS = ("n_r", "n_L", "workers", "n_returns", "n_p0", "curve_samples", "png_scale")
-_STR_KEYS = ("plane", "formulation", "coord_mode", "ratios", "seeds", "out")
-_BOOL_KEYS = ("fixed_step", "compute_lyapunov", "png", "progress")
+# Every configuration key is a flag; each flag's value is parsed like the
+# same key in a configuration file.
+_KEYS = tuple(f.name for f in fields(RunConfig) if f.name != "command")
 
 
 def _add_common(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--config", help="key = value configuration file")
-    for key in _FLOAT_KEYS:
-        sub.add_argument(f"--{key.replace('_', '-')}", type=float, default=None)
-    for key in _INT_KEYS:
-        sub.add_argument(f"--{key.replace('_', '-')}", type=int, default=None)
-    for key in _STR_KEYS:
-        sub.add_argument(f"--{key.replace('_', '-')}", type=str, default=None)
-    for key in _BOOL_KEYS:
-        sub.add_argument(
-            f"--{key.replace('_', '-')}",
-            action=argparse.BooleanOptionalAction,
-            default=None,
-        )
+    for key in _KEYS:
+        flag = f"--{key.replace('_', '-')}"
+        if isinstance(getattr(RunConfig, key), bool):
+            sub.add_argument(flag, action=argparse.BooleanOptionalAction, default=None)
+        else:
+            sub.add_argument(flag, default=None)
 
 
 def _build_config(command: str, args: argparse.Namespace) -> RunConfig:
@@ -91,18 +65,17 @@ def _build_config(command: str, args: argparse.Namespace) -> RunConfig:
             base = parse_config(fh.read())
         values = {f.name: getattr(base, f.name) for f in fields(RunConfig)}
     values["command"] = command
-    from .config import _parse_ratios, _parse_seeds  # canonical list parsing
-
-    for key in _FLOAT_KEYS + _INT_KEYS + _STR_KEYS + _BOOL_KEYS:
-        given = getattr(args, key, None)
+    errors = []
+    for key in _KEYS:
+        given = getattr(args, key)
         if given is None:
             continue
-        if key == "ratios":
-            values[key] = _parse_ratios(given)
-        elif key == "seeds":
-            values[key] = _parse_seeds(given)
-        else:
-            values[key] = given
+        try:
+            values[key] = given if isinstance(given, bool) else parse_value(key, given)
+        except ValueError as exc:
+            errors.append(f"bad value for {key!r}: {exc}")
+    if errors:
+        raise ConfigError(errors)
     return make_config(values)
 
 
@@ -168,20 +141,24 @@ def _seed_results(cfg: RunConfig, runner) -> list:
     return items
 
 
+def _emit_results(cfg: RunConfig, items: list) -> int:
+    text = outcomes_json_text(cfg.command, items, provenance(cfg)) + "\n"
+    _emit(text, cfg.out + ".json" if cfg.out else None)
+    return 0
+
+
 def _cmd_detect(cfg: RunConfig) -> int:
     dcfg = to_detector_config(cfg)
-    items = _seed_results(cfg, lambda s: run_detector(s, cfg.mu, dcfg))
-    text = outcomes_json_text("detect", items, provenance(cfg))
-    _emit(text + "\n" if not text.endswith("\n") else text, cfg.out + ".json" if cfg.out else None)
-    return 0
+    return _emit_results(
+        cfg, _seed_results(cfg, lambda s: run_detector(s, cfg.mu, dcfg))
+    )
 
 
 def _cmd_lyapunov(cfg: RunConfig) -> int:
     dcfg = to_detector_config(cfg)
-    items = _seed_results(cfg, lambda s: lyapunov_estimate(s, cfg.mu, dcfg))
-    text = outcomes_json_text("lyapunov", items, provenance(cfg))
-    _emit(text + "\n" if not text.endswith("\n") else text, cfg.out + ".json" if cfg.out else None)
-    return 0
+    return _emit_results(
+        cfg, _seed_results(cfg, lambda s: lyapunov_estimate(s, cfg.mu, dcfg))
+    )
 
 
 def _cmd_section(cfg: RunConfig) -> int:
@@ -218,24 +195,14 @@ def _cmd_pendulum(cfg: RunConfig) -> int:
         p0_values = [cfg.p0_min]
     else:
         p0_values = list(np.linspace(cfg.p0_min, cfg.p0_max, cfg.n_p0))
-    opts = IntegratorOptions(
-        rel_tol=cfg.rel_tol,
-        abs_tol=cfg.abs_tol,
-        h_init=cfg.h_init,
-        h_min=cfg.h_min,
-        h_max=max(cfg.h_max, 0.5),
-        renorm_threshold=cfg.renorm_threshold,
-        fixed_step=cfg.fixed_step,
-    )
+    opts = to_integrator_options(cfg)
     items = []
     for p0 in p0_values:
         out = pendulum_detect(cfg.q0, float(p0), cfg.t_out, opts)
         item = {"q0": cfg.q0, "p0": float(p0), "H": out.C}
         item.update(outcome_to_dict(out))
         items.append(item)
-    text = outcomes_json_text("pendulum", items, provenance(cfg))
-    _emit(text + "\n" if not text.endswith("\n") else text, cfg.out + ".json" if cfg.out else None)
-    return 0
+    return _emit_results(cfg, items)
 
 
 def _cmd_overlays(cfg: RunConfig) -> int:

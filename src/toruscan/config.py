@@ -22,6 +22,7 @@ __all__ = [
     "ConfigError",
     "RunConfig",
     "parse_config",
+    "parse_value",
     "serialize_config",
     "config_hash",
     "to_integrator_options",
@@ -143,6 +144,15 @@ _PARSERS = {
 _DEFAULTS = RunConfig()
 
 
+def parse_value(key: str, text: str):
+    """Parse one value of a configuration key, typed by the key's default."""
+    if key == "ratios":
+        return _parse_ratios(text)
+    if key == "seeds":
+        return _parse_seeds(text)
+    return _PARSERS[type(getattr(_DEFAULTS, key))](text)
+
+
 def parse_config(text: str) -> RunConfig:
     """Parse and validate a key-value configuration.
 
@@ -169,12 +179,7 @@ def parse_config(text: str) -> RunConfig:
             errors.append(f"line {lineno}: duplicate key {key!r}")
             continue
         try:
-            if key == "ratios":
-                values[key] = _parse_ratios(val)
-            elif key == "seeds":
-                values[key] = _parse_seeds(val)
-            else:
-                values[key] = _PARSERS[type(getattr(_DEFAULTS, key))](val)
+            values[key] = parse_value(key, val)
         except ValueError as exc:
             errors.append(f"line {lineno}: bad value for {key!r}: {exc}")
     if errors:

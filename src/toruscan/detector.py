@@ -23,9 +23,9 @@ parallel.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass, field as dc_field, replace
 from enum import Enum
-from typing import Callable
+from typing import Callable, NamedTuple
 
 from . import foliation
 from .dynamics import (
@@ -71,7 +71,6 @@ class Formulation(str, Enum):
     GENERAL = "general"
     SYMMETRIC = "symmetric"
     BOTH = "both"
-    LYAPUNOV_ONLY = "lyapunov-only"
 
 
 @dataclass(frozen=True)
@@ -81,7 +80,6 @@ class DetectorConfig:
     t_out: float = 40.0
     formulation: Formulation = Formulation.GENERAL
     integrator: IntegratorOptions = dc_field(default_factory=IntegratorOptions)
-    eta_seed_policy: str = "orthogonal-to-v"
     compute_lyapunov: bool = False
     arming_rel: float = 1e-12
     refine_time_tol: float = 1e-11
@@ -90,8 +88,6 @@ class DetectorConfig:
     def __post_init__(self):
         if self.t_out <= 0.0:
             raise ValueError(f"t_out must be positive, got {self.t_out}")
-        if self.eta_seed_policy != "orthogonal-to-v":
-            raise ValueError(f"unknown eta seed policy {self.eta_seed_policy!r}")
 
 
 @dataclass(frozen=True)
@@ -177,21 +173,11 @@ def _make_lambda_qualifier(mu: float) -> Callable[[tuple], bool]:
     """True iff lambda(eta) < 0 at the supplied joint state."""
 
     def qualify(y):
-        s = State(*y[:4])
-        v = vector_field(s, mu)
-        v2 = v.dx * v.dx + v.dy * v.dy + v.dvx * v.dvx + v.dvy * v.dvy
-        if v2 < 1e-28:
+        try:
+            lam = foliation.evaluate(State(*y[:4]), mu).lambda_coeffs
+        except foliation.SingularPointError:
             return False
-        x, yy, vx, vy = s
-        glx, gly, glvx, glvy = vy + 2.0 * x, -vx + 2.0 * yy, -yy, x
-        b = (glx * v.dx + gly * v.dy + glvx * v.dvx + glvy * v.dvy) / v2
-        lam_eta = (
-            (glx - b * v.dx) * y[4]
-            + (gly - b * v.dy) * y[5]
-            + (glvx - b * v.dvx) * y[6]
-            + (glvy - b * v.dvy) * y[7]
-        )
-        return lam_eta < 0.0
+        return sum(c * e for c, e in zip(lam, y[4:])) < 0.0
 
     return qualify
 
@@ -235,6 +221,23 @@ def _make_guard(mu: float, opts: IntegratorOptions):
     return guard
 
 
+class MonitorResult(NamedTuple):
+    """How a monitored run ended.
+
+    status is 'fired', 'timeout', 'collision', 'escape' or 'step-underflow';
+    truncation names what cut the integration short of t_out after or
+    without a detection, and detail carries the step-underflow message.
+    """
+
+    status: str
+    t_detect: float | None
+    n_events: int
+    t_end: float
+    lyapunov: float | None
+    detail: str | None
+    truncation: str | None
+
+
 def _tangent_norm(y, state_dim):
     return math.sqrt(sum(c * c for c in y[state_dim:]))
 
@@ -252,12 +255,11 @@ def monitor_run(
     want_lyapunov: bool = False,
     arming_rel: float = 1e-12,
     refine_time_tol: float = 1e-11,
-):
+) -> MonitorResult:
     """Shared detection loop: integrate, watch sign changes, refine, qualify.
 
-    Returns a dict with status ('fired', 'timeout', 'collision', 'escape',
-    'step-underflow'), detection time, event count, final state, reached
-    time and the Lyapunov estimate when requested.
+    Returns the status, detection time, event count, reached time and the
+    Lyapunov estimate when requested.
 
     The seed tangent is normalized to unit length before integration: every
     monitored quantity is degree-1 homogeneous in the tangent and the
@@ -289,7 +291,7 @@ def monitor_run(
     def g_value(y):
         return g_fn(y)[0]
 
-    truncation = None
+    truncation = detail = None
     while drv.t < t_out:
         try:
             t0, y_start, t1, y1 = drv.step(t_out)
@@ -298,20 +300,8 @@ def monitor_run(
             # the Lyapunov accumulation short.
             if status != "fired":
                 status = "step-underflow"
-            return {
-                "status": status,
-                "t_detect": t_detect,
-                "n_events": n_events,
-                "t_end": drv.t,
-                "y_end": drv.y,
-                "lyapunov": _final_lyapunov(
-                    drv.y, state_dim, log_accum, eta0_norm, drv.t
-                )
-                if want_lyapunov
-                else None,
-                "detail": str(exc),
-                "truncation": "step-underflow",
-            }
+            truncation, detail = "step-underflow", str(exc)
+            break
         if guard_fn is not None:
             flag = guard_fn(y_start, y1)
             if flag is not None:
@@ -363,16 +353,7 @@ def monitor_run(
     lyap = None
     if want_lyapunov:
         lyap = _final_lyapunov(drv.y, state_dim, log_accum, eta0_norm, drv.t)
-    return {
-        "status": status,
-        "t_detect": t_detect,
-        "n_events": n_events,
-        "t_end": drv.t,
-        "y_end": drv.y,
-        "lyapunov": lyap,
-        "detail": None,
-        "truncation": truncation,
-    }
+    return MonitorResult(status, t_detect, n_events, drv.t, lyap, detail, truncation)
 
 
 def _final_lyapunov(y_end, state_dim, log_accum, eta0_norm, t_end):
@@ -406,27 +387,28 @@ _STATUS_TO_CLASS = {
 }
 
 
-def _build_outcome(raw, s0, mu, cfg, extra_diag=None) -> DetectionOutcome:
-    classification = _STATUS_TO_CLASS[raw["status"]]
-    t_detect = raw["t_detect"]
+def _build_outcome(
+    raw: MonitorResult, C: float, t_out: float, extra_diag=None
+) -> DetectionOutcome:
+    classification = _STATUS_TO_CLASS[raw.status]
     q = None
     if classification is Classification.NONEXISTENCE:
-        q = t_detect / cfg.t_out
-    diagnostics = {"t_end": raw["t_end"]}
-    if raw["status"] == "step-underflow":
+        q = raw.t_detect / t_out
+    diagnostics = {"t_end": raw.t_end}
+    if raw.status == "step-underflow":
         diagnostics["reason"] = "step-underflow"
-        diagnostics["detail"] = raw["detail"]
-    if raw.get("truncation"):
-        diagnostics["truncation"] = raw["truncation"]
+        diagnostics["detail"] = raw.detail
+    if raw.truncation:
+        diagnostics["truncation"] = raw.truncation
     if extra_diag:
         diagnostics.update(extra_diag)
     return DetectionOutcome(
         classification=classification,
-        t_detect=t_detect,
+        t_detect=raw.t_detect,
         q=q,
-        lyapunov=raw["lyapunov"],
-        n_sign_events=raw["n_events"],
-        C=jacobi_constant(s0, mu),
+        lyapunov=raw.lyapunov,
+        n_sign_events=raw.n_events,
+        C=C,
         diagnostics=diagnostics,
     )
 
@@ -469,7 +451,7 @@ def run_general(
         arming_rel=cfg.arming_rel,
         refine_time_tol=cfg.refine_time_tol,
     )
-    return _build_outcome(raw, s0, mu, cfg, extra)
+    return _build_outcome(raw, jacobi_constant(s0, mu), cfg.t_out, extra)
 
 
 def run_symmetric(
@@ -503,7 +485,7 @@ def run_symmetric(
         arming_rel=cfg.arming_rel,
         refine_time_tol=cfg.refine_time_tol,
     )
-    return _build_outcome(raw, s0, mu, cfg)
+    return _build_outcome(raw, jacobi_constant(s0, mu), cfg.t_out)
 
 
 def run_both(s0: State, mu: float, cfg: DetectorConfig) -> DetectionOutcome:
@@ -524,32 +506,12 @@ def run_both(s0: State, mu: float, cfg: DetectorConfig) -> DetectionOutcome:
     if gen.classification is Classification.SINGULAR_SEED:
         diag["general_reason"] = gen.diagnostics["reason"]
     if fired:
-        best = min(fired, key=lambda o: o.t_detect)
-        merged = dict(best.diagnostics)
-        merged.update(diag)
-        return DetectionOutcome(
-            classification=Classification.NONEXISTENCE,
-            t_detect=best.t_detect,
-            q=best.q,
-            lyapunov=best.lyapunov,
-            n_sign_events=best.n_sign_events,
-            C=best.C,
-            diagnostics=merged,
-        )
-    # A seed singular for the general formulation alone keeps the symmetric
-    # outcome, so `both` never reports less than symmetric does.
-    base = sym if gen.classification is Classification.SINGULAR_SEED else gen
-    merged = dict(base.diagnostics)
-    merged.update(diag)
-    return DetectionOutcome(
-        classification=base.classification,
-        t_detect=None,
-        q=None,
-        lyapunov=base.lyapunov,
-        n_sign_events=base.n_sign_events,
-        C=base.C,
-        diagnostics=merged,
-    )
+        base = min(fired, key=lambda o: o.t_detect)
+    else:
+        # A seed singular for the general formulation alone keeps the
+        # symmetric outcome, so `both` never reports less than symmetric does.
+        base = sym if gen.classification is Classification.SINGULAR_SEED else gen
+    return replace(base, diagnostics={**base.diagnostics, **diag})
 
 
 def lyapunov_estimate(
@@ -569,7 +531,7 @@ def lyapunov_estimate(
     if degenerate:
         return _singular_outcome(s0, mu, reason)
     if eta0 is None:
-        eta0 = foliation.transverse_field(s0, mu)
+        eta0 = foliation.evaluate(s0, mu).xi
     raw = monitor_run(
         joint_field(mu),
         tuple(s0) + tuple(eta0),
@@ -581,7 +543,7 @@ def lyapunov_estimate(
         want_lyapunov=True,
         arming_rel=cfg.arming_rel,
     )
-    return _build_outcome(raw, s0, mu, cfg)
+    return _build_outcome(raw, jacobi_constant(s0, mu), cfg.t_out)
 
 
 def run(s0: State, mu: float, cfg: DetectorConfig) -> DetectionOutcome:
@@ -590,6 +552,4 @@ def run(s0: State, mu: float, cfg: DetectorConfig) -> DetectionOutcome:
         return run_general(s0, mu, cfg)
     if cfg.formulation is Formulation.SYMMETRIC:
         return run_symmetric(s0, mu, cfg)
-    if cfg.formulation is Formulation.BOTH:
-        return run_both(s0, mu, cfg)
-    return lyapunov_estimate(s0, mu, cfg)
+    return run_both(s0, mu, cfg)

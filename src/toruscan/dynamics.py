@@ -24,7 +24,6 @@ __all__ = [
     "Momenta",
     "PolarState",
     "validate_mass_ratio",
-    "body_positions",
     "body_distances",
     "effective_potential",
     "potential_gradient",
@@ -94,11 +93,6 @@ def validate_mass_ratio(mu: float) -> float:
             stacklevel=2,
         )
     return mu
-
-
-def body_positions(mu: float) -> tuple[tuple[float, float], tuple[float, float]]:
-    """Positions of (primary, secondary) in the rotating frame."""
-    return (-mu, 0.0), (1.0 - mu, 0.0)
 
 
 def body_distances(x: float, y: float, mu: float) -> tuple[float, float]:

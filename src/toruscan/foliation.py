@@ -13,6 +13,9 @@ level).  The companion 1-form
 
 annihilates the flow direction V and is nonnegative on xi; it is represented
 here by its Euclidean-dual vector grad L - b*V and applied via dot products.
+Both are the part of grad L orthogonal to one vector (grad H for xi, V for
+lambda), computed by a single projection: `evaluate` returns the pair and
+their invariants, and `is_degenerate` says where xi is unusable.
 
 On the symmetry planes the singularities of xi trace the zero set of an
 explicit radial balance function of (r, L); that function also bounds the
@@ -38,8 +41,6 @@ __all__ = [
     "SingularPointError",
     "FoliationEval",
     "evaluate",
-    "transverse_field",
-    "orientation_form",
     "singularity_function",
     "singularity_curve_distance",
     "is_degenerate",
@@ -65,14 +66,26 @@ class FoliationEval:
 
     xi: TangentVector
     lambda_coeffs: TangentVector
-    a_coeff: float
-    b_coeff: float
     xi_norm: float
     lambda_of_xi: float
 
 
 def _dot(u, w) -> float:
     return u[0] * w[0] + u[1] * w[1] + u[2] * w[2] + u[3] * w[3]
+
+
+def _reject(gl, w, w2):
+    """The part of gl orthogonal to w, and the coefficient c = gl.w / |w|^2."""
+    c = _dot(gl, w) / w2
+    return (
+        TangentVector(
+            gl[0] - c * w[0],
+            gl[1] - c * w[1],
+            gl[2] - c * w[2],
+            gl[3] - c * w[3],
+        ),
+        c,
+    )
 
 
 def evaluate(s: State, mu: float, tol: float = _GRAD_TOL) -> FoliationEval:
@@ -84,65 +97,17 @@ def evaluate(s: State, mu: float, tol: float = _GRAD_TOL) -> FoliationEval:
             "foliation undefined where grad H vanishes (equilibrium point)"
         )
     gl = grad_angular_momentum(s)
-    a = _dot(gl, gh) / gh2
-    xi = TangentVector(
-        gl[0] - a * gh[0],
-        gl[1] - a * gh[1],
-        gl[2] - a * gh[2],
-        gl[3] - a * gh[3],
-    )
+    xi, _ = _reject(gl, gh, gh2)
     v = vector_field(s, mu)
     v2 = _dot(v, v)
     if v2 <= tol * tol:
         raise SingularPointError("lambda undefined where the vector field vanishes")
-    b = _dot(gl, v) / v2
-    lam = TangentVector(
-        gl[0] - b * v[0],
-        gl[1] - b * v[1],
-        gl[2] - b * v[2],
-        gl[3] - b * v[3],
-    )
+    lam, _ = _reject(gl, v, v2)
     return FoliationEval(
         xi=xi,
         lambda_coeffs=lam,
-        a_coeff=a,
-        b_coeff=b,
         xi_norm=math.sqrt(_dot(xi, xi)),
         lambda_of_xi=_dot(lam, xi),
-    )
-
-
-def transverse_field(s: State, mu: float, tol: float = _GRAD_TOL) -> TangentVector:
-    """xi = grad L - a grad H; perpendicular to grad H by construction."""
-    gh = grad_hamiltonian(s, mu)
-    gh2 = _dot(gh, gh)
-    if gh2 <= tol * tol:
-        raise SingularPointError(
-            "foliation undefined where grad H vanishes (equilibrium point)"
-        )
-    gl = grad_angular_momentum(s)
-    a = _dot(gl, gh) / gh2
-    return TangentVector(
-        gl[0] - a * gh[0],
-        gl[1] - a * gh[1],
-        gl[2] - a * gh[2],
-        gl[3] - a * gh[3],
-    )
-
-
-def orientation_form(s: State, mu: float, tol: float = _GRAD_TOL) -> TangentVector:
-    """Euclidean-dual vector of lambda = dL - b V_flat; lambda(V) = 0."""
-    v = vector_field(s, mu)
-    v2 = _dot(v, v)
-    if v2 <= tol * tol:
-        raise SingularPointError("lambda undefined where the vector field vanishes")
-    gl = grad_angular_momentum(s)
-    b = _dot(gl, v) / v2
-    return TangentVector(
-        gl[0] - b * v[0],
-        gl[1] - b * v[1],
-        gl[2] - b * v[2],
-        gl[3] - b * v[3],
     )
 
 
@@ -208,14 +173,13 @@ def is_degenerate(
     and grad H are parallel (|xi| below tol relative to its ingredients).
     """
     gh = grad_hamiltonian(s, mu)
-    gh_norm = math.sqrt(_dot(gh, gh))
+    gh2 = _dot(gh, gh)
+    gh_norm = math.sqrt(gh2)
     if gh_norm <= tol:
         return True, "equilibrium"
     gl = grad_angular_momentum(s)
-    a = _dot(gl, gh) / (gh_norm * gh_norm)
-    xi = tuple(gl[i] - a * gh[i] for i in range(4))
-    xi_norm = math.sqrt(_dot(xi, xi))
+    xi, a = _reject(gl, gh, gh2)
     scale = math.sqrt(_dot(gl, gl)) + abs(a) * gh_norm
-    if xi_norm <= tol * scale:
+    if math.sqrt(_dot(xi, xi)) <= tol * scale:
         return True, "parallel-gradients"
     return False, None

@@ -18,11 +18,7 @@ from __future__ import annotations
 
 import math
 
-from .detector import (
-    Classification,
-    DetectionOutcome,
-    monitor_run,
-)
+from .detector import DetectionOutcome, _build_outcome, monitor_run
 from .integrate import IntegratorOptions
 
 __all__ = ["pendulum_energy", "pendulum_field", "pendulum_detect"]
@@ -73,16 +69,4 @@ def pendulum_detect(
         qualify_fn=_qualify,
         guard_fn=None,
     )
-    fired = raw["status"] == "fired"
-    t_detect = raw["t_detect"]
-    return DetectionOutcome(
-        classification=Classification.NONEXISTENCE
-        if fired
-        else Classification.UNDETERMINED,
-        t_detect=t_detect,
-        q=(t_detect / t_out) if fired else None,
-        lyapunov=None,
-        n_sign_events=raw["n_events"],
-        C=pendulum_energy(q0, p0),
-        diagnostics={"t_end": raw["t_end"], "system": "pendulum"},
-    )
+    return _build_outcome(raw, pendulum_energy(q0, p0), t_out, {"system": "pendulum"})

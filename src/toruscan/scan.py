@@ -140,7 +140,7 @@ def _classify_cell(spec, cfg, exclusion_tol, r, L):
 
     form = cfg.formulation
     general_reason = None
-    if form in (Formulation.GENERAL, Formulation.BOTH, Formulation.LYAPUNOV_ONLY):
+    if form in (Formulation.GENERAL, Formulation.BOTH):
         general_reason = _xi_singularity(seed, r, L, mu, plane, exclusion_tol)
         if general_reason is not None and form is not Formulation.BOTH:
             return _singular(plane, r, L, mu, general_reason)

@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-from .detector import DetectorConfig
+from .detector import DetectorConfig, _make_guard
 from .dynamics import (
     PolarState,
     State,
@@ -90,30 +90,6 @@ def section_contains(r: float, L: float, mu: float, plane: Plane) -> bool:
     return singularity_function(r, L, mu, plane) >= 0.0
 
 
-def _escape_or_collision(y0, y1, mu, opts):
-    x1, yy1 = y1[0], y1[1]
-    if x1 * x1 + yy1 * yy1 > opts.escape_radius * opts.escape_radius:
-        return "escape"
-    bodies = []
-    if 1.0 - mu > 0.0:
-        bodies.append(-mu)
-    if mu > 0.0:
-        bodies.append(1.0 - mu)
-    x0, yy0 = y0[0], y0[1]
-    rc = opts.collision_radius
-    for bx in bodies:
-        wx, wy = x1 - x0, yy1 - yy0
-        px, py = bx - x0, -yy0
-        w2 = wx * wx + wy * wy
-        tt = 0.0
-        if w2 > 0.0:
-            tt = min(1.0, max(0.0, (px * wx + py * wy) / w2))
-        dx, dy = px - tt * wx, py - tt * wy
-        if dx * dx + dy * dy < rc * rc:
-            return "collision"
-    return None
-
-
 def return_map(
     s0: State, mu: float, n_returns: int, cfg: DetectorConfig
 ) -> ReturnMapResult:
@@ -128,6 +104,7 @@ def return_map(
         raise ValueError(f"n_returns must be >= 1, got {n_returns}")
     field_fn = flow_field(mu)
     opts = cfg.integrator
+    guard = _make_guard(mu, opts)
     drv = DopriDriver(field_fn, opts).reset(0.0, tuple(s0))
 
     def p_r_of(y):
@@ -151,7 +128,7 @@ def return_map(
             result.status = "step-underflow"
             result.t_end = drv.t
             return result
-        flag = _escape_or_collision(y0, y1, mu, opts)
+        flag = guard(y0, y1)
         if flag is not None:
             result.status = flag
             result.t_end = t1

@@ -29,7 +29,7 @@ from toruscan.dynamics import (
     jacobi_constant,
     vector_field,
 )
-from toruscan.foliation import Plane, transverse_field
+from toruscan.foliation import Plane, evaluate
 from toruscan.integrate import DopriDriver, IntegratorOptions
 from toruscan.output import scan_csv_text
 from toruscan.pendulum import pendulum_detect, pendulum_energy
@@ -357,7 +357,7 @@ def test_criterion_09_homogeneity_and_renormalization():
         base = run_general(s, mu, DetectorConfig(t_out=40.0))
         if base.classification is not Classification.NONEXISTENCE:
             continue
-        xi = transverse_field(s, mu)
+        xi = evaluate(s, mu).xi
         scaled = run_general(
             s,
             mu,

@@ -1,11 +1,17 @@
 import json
+import os
+import re
 import subprocess
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 import pytest
 
+import toruscan
+import toruscan.cli as cli
 from toruscan.cli import main
+from toruscan.config import RunConfig
 
 
 def run_cli(args, capsys):
@@ -213,13 +219,51 @@ class TestOtherCommands:
         assert code == 2
         assert "plane" in json.loads(err)["messages"][0]
 
+    def test_invalid_number_is_config_error(self, capsys):
+        code, _, err = run_cli(["scan", "--mu", "abc", "--n-r", "2.5"], capsys)
+        assert code == 2
+        messages = json.loads(err)["messages"]
+        assert len(messages) == 2
+        assert "'mu'" in messages[0] and "'n_r'" in messages[1]
+
+    def test_pendulum_honours_h_max(self, monkeypatch, capsys):
+        seen = []
+        real_detect = cli.pendulum_detect
+
+        def fake_detect(q0, p0, t_out, opts):
+            seen.append(opts)
+            return real_detect(q0, p0, 0.1, opts)
+
+        monkeypatch.setattr(cli, "pendulum_detect", fake_detect)
+        code, _, _ = run_cli(["pendulum", "--h-max", "0.1"], capsys)
+        assert code == 0
+        assert [o.h_max for o in seen] == [0.1]
+
+
+class TestFlags:
+    def test_one_flag_per_config_key(self, capsys):
+        with pytest.raises(SystemExit):
+            main(["scan", "--help"])
+        flags = set(re.findall(r"(?<![\w-])--[A-Za-z][\w-]*", capsys.readouterr().out))
+        keys = [f for f in fields(RunConfig) if f.name != "command"]
+        expected = {"--help", "--config"}
+        for f in keys:
+            expected.add("--" + f.name.replace("_", "-"))
+            if isinstance(f.default, bool):
+                expected.add("--no-" + f.name.replace("_", "-"))
+        assert flags == expected
+
 
 class TestEntryPoint:
     def test_module_invocation(self):
+        # The child imports the package under test, installed or not.
+        src = str(Path(toruscan.__file__).parents[1])
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
         proc = subprocess.run(
             [sys.executable, "-m", "toruscan.cli", "--version"],
             capture_output=True,
             text=True,
+            env={**os.environ, "PYTHONPATH": path},
         )
         assert proc.returncode == 0
         assert proc.stdout.strip() == "0.1.0"

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from toruscan.detector import (
     DetectionOutcome,
     DetectorConfig,
     Formulation,
+    _make_g_monitor,
     _make_guard,
     antisymmetric_tangent,
     lyapunov_estimate,
@@ -24,11 +26,14 @@ from toruscan.dynamics import (
     joint_field,
     lagrange_points,
     reversal_tangent,
+    symplectic_form,
     vector_field,
 )
-from toruscan.foliation import Plane, transverse_field
+from toruscan.foliation import Plane, evaluate
 from toruscan.integrate import DopriDriver, IntegratorOptions
 from toruscan.scan import plane_point
+
+from conftest import random_states
 
 TORUS_SEED_MU0 = plane_point(Plane.THETA0, 1.2, 1.0, 0.0)
 CROSSING_SEED = plane_point(Plane.THETA0, 1.5, 0.5, 0.1)
@@ -81,7 +86,7 @@ class TestGeneralFormulation:
 
     def test_homogeneity_in_seed_tangent(self):
         base = run_general(CROSSING_SEED, 0.1, cfg_with(t_out=40.0))
-        xi = transverse_field(CROSSING_SEED, 0.1)
+        xi = evaluate(CROSSING_SEED, 0.1).xi
         scaled = run_general(
             CROSSING_SEED,
             0.1,
@@ -218,12 +223,14 @@ class TestBothAndDispatch:
         assert both.diagnostics["symmetric"] == "Undetermined"
 
     def test_dispatch_matches_formulation(self):
-        out = run(CROSSING_SEED, 0.1, cfg_with(formulation=Formulation.GENERAL))
-        assert out.classification is Classification.NONEXISTENCE
-        out = run(
-            CROSSING_SEED, 0.1, cfg_with(formulation=Formulation.LYAPUNOV_ONLY)
-        )
-        assert out.lyapunov is not None
+        cfg = cfg_with(t_out=10.0)
+        for form, runner in (
+            (Formulation.GENERAL, run_general),
+            (Formulation.SYMMETRIC, run_symmetric),
+            (Formulation.BOTH, run_both),
+        ):
+            out = run(CROSSING_SEED, 0.1, replace(cfg, formulation=form))
+            assert out == runner(CROSSING_SEED, 0.1, cfg)
 
 
 class TestLyapunovEstimate:
@@ -241,7 +248,7 @@ class TestLyapunovEstimate:
     def test_invariant_under_tangent_scaling(self):
         cfg = cfg_with(t_out=40.0)
         s = plane_point(Plane.THETA0, 1.05, -0.5, 0.1)
-        xi = transverse_field(s, 0.1)
+        xi = evaluate(s, 0.1).xi
         a = lyapunov_estimate(s, 0.1, cfg)
         b = lyapunov_estimate(
             s, 0.1, cfg, eta0=TangentVector(*(1e3 * c for c in xi))
@@ -254,6 +261,15 @@ class TestLyapunovEstimate:
         assert out.classification is Classification.COLLISION
         assert out.lyapunov is not None
         assert out.diagnostics["t_end"] < 40.0
+
+    def test_detection_run_carries_the_same_exponent(self):
+        # Event refinement integrates on the side, so a detection run with
+        # compute_lyapunov follows the Lyapunov run's trajectory exactly.
+        s = plane_point(Plane.THETA0, 1.05, -0.5, 0.1)
+        est = lyapunov_estimate(s, 0.1, cfg_with(t_out=40.0))
+        out = run_general(s, 0.1, cfg_with(t_out=40.0, compute_lyapunov=True))
+        assert est.lyapunov > 0.1
+        assert out.lyapunov == est.lyapunov
 
     def test_detection_run_can_carry_lyapunov(self):
         cfg = cfg_with(t_out=10.0, compute_lyapunov=True)
@@ -272,6 +288,20 @@ class TestLyapunovEstimate:
         assert out.diagnostics["truncation"] == "collision"
         assert out.diagnostics["t_end"] < 40.0
         assert out.lyapunov is not None
+
+
+class TestGMonitor:
+    @pytest.mark.parametrize("mu", [0.0, 0.1, 0.3])
+    def test_matches_symplectic_form_of_foliation_xi(self, rng, mu):
+        # The inlined monitor against the readable dynamics/foliation copies.
+        g_fn = _make_g_monitor(mu)
+        for s in random_states(rng, 40, avoid_mu=mu):
+            eta = tuple(float(c) for c in rng.normal(size=4))
+            g, scale = g_fn(tuple(s) + eta)
+            xi = evaluate(s, mu).xi
+            ref_scale = math.sqrt(sum(c * c for c in eta) * sum(c * c for c in xi))
+            assert scale == pytest.approx(ref_scale, rel=1e-13)
+            assert abs(g - symplectic_form(eta, xi)) <= 1e-13 * ref_scale
 
 
 class TestGuard:
@@ -306,5 +336,3 @@ class TestOutcomeInvariants:
     def test_config_validation(self):
         with pytest.raises(ValueError):
             DetectorConfig(t_out=-1.0)
-        with pytest.raises(ValueError):
-            DetectorConfig(eta_seed_policy="random")

@@ -17,10 +17,8 @@ from toruscan.foliation import (
     SingularPointError,
     evaluate,
     is_degenerate,
-    orientation_form,
     singularity_curve_distance,
     singularity_function,
-    transverse_field,
 )
 from toruscan.scan import plane_point
 
@@ -34,14 +32,14 @@ def dot(u, w):
 class TestTransverseField:
     def test_tangent_to_energy_levels(self, rng):
         for s in random_states(rng, 20, avoid_mu=0.1):
-            xi = transverse_field(s, 0.1)
+            xi = evaluate(s, 0.1).xi
             gh = grad_hamiltonian(s, 0.1)
             assert abs(dot(xi, gh)) < 1e-12
 
     def test_projection_identity(self, rng):
         # xi . grad L = |xi|^2 >= 0
         for s in random_states(rng, 20, avoid_mu=0.1):
-            xi = transverse_field(s, 0.1)
+            xi = evaluate(s, 0.1).xi
             gl = grad_angular_momentum(s)
             assert dot(xi, gl) == pytest.approx(dot(xi, xi), rel=1e-12, abs=1e-14)
 
@@ -52,31 +50,31 @@ class TestTransverseField:
         s = plane_point(Plane.THETA0, L * L, L, 0.0)
         gh = grad_hamiltonian(s, 0.0)
         assert math.sqrt(dot(gh, gh)) > 1e-3
-        xi = transverse_field(s, 0.0)
+        xi = evaluate(s, 0.0).xi
         assert math.sqrt(dot(xi, xi)) < 1e-12
 
     def test_corotating_circle_is_an_equilibrium_at_zero_mu(self):
         # At mu = 0 the unit circular orbit is frame-fixed: V = 0 and
         # grad H = 0 simultaneously there.
         with pytest.raises(SingularPointError):
-            transverse_field(State(1.0, 0.0, 0.0, 0.0), 0.0)
+            evaluate(State(1.0, 0.0, 0.0, 0.0), 0.0).xi
 
     def test_transversality_on_torus_seed(self):
         # L = 1, C = 2.5 seed: r from the radial invariant with p_r = 0.
         s = plane_point(Plane.THETA0, 1.8, 1.0, 0.0)
-        xi = transverse_field(s, 0.0)
+        xi = evaluate(s, 0.0).xi
         assert dot(xi, grad_angular_momentum(s)) > 1e-3
 
     def test_singular_at_equilibrium(self):
         x, y = lagrange_points(0.1)[3]
         with pytest.raises(SingularPointError):
-            transverse_field(State(x, y, 0.0, 0.0), 0.1)
+            evaluate(State(x, y, 0.0, 0.0), 0.1).xi
 
 
 class TestOrientationForm:
     def test_annihilates_flow_direction(self, rng):
         for s in random_states(rng, 20, avoid_mu=0.1):
-            lam = orientation_form(s, 0.1)
+            lam = evaluate(s, 0.1).lambda_coeffs
             v = vector_field(s, 0.1)
             assert abs(dot(lam, v)) < 1e-12
 
@@ -204,12 +202,12 @@ class TestDegeneracy:
 class TestReversalEquivariance:
     def test_xi_equivariant(self, rng):
         for s in random_states(rng, 15, avoid_mu=0.1):
-            lhs = transverse_field(reversal(s), 0.1)
-            rhs = reversal_tangent(transverse_field(s, 0.1))
+            lhs = evaluate(reversal(s), 0.1).xi
+            rhs = reversal_tangent(evaluate(s, 0.1).xi)
             assert np.allclose(lhs, rhs, atol=1e-13)
 
     def test_lambda_equivariant(self, rng):
         for s in random_states(rng, 15, avoid_mu=0.1):
-            lhs = orientation_form(reversal(s), 0.1)
-            rhs = reversal_tangent(orientation_form(s, 0.1))
+            lhs = evaluate(reversal(s), 0.1).lambda_coeffs
+            rhs = reversal_tangent(evaluate(s, 0.1).lambda_coeffs)
             assert np.allclose(lhs, rhs, atol=1e-13)

@@ -52,6 +52,15 @@ class TestDetection:
         out = pendulum_detect(0.0, 0.5, t_out=50.0)
         assert out.q == pytest.approx(out.t_detect / 50.0)
 
+    def test_step_underflow_is_undetermined_with_reason(self):
+        opts = IntegratorOptions(
+            h_min=0.5, h_init=0.5, h_max=0.5, rel_tol=1e-14, abs_tol=1e-16
+        )
+        out = pendulum_detect(0.0, 0.5, t_out=50.0, opts=opts)
+        assert out.classification is Classification.UNDETERMINED
+        assert out.diagnostics["reason"] == "step-underflow"
+        assert out.diagnostics["system"] == "pendulum"
+
     def test_rejects_bad_timeout(self):
         with pytest.raises(ValueError):
             pendulum_detect(0.0, 0.5, t_out=0.0)

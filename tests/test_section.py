@@ -100,6 +100,11 @@ class TestReturnMap:
         res = return_map(s, 0.1, 3, DetectorConfig(t_out=60.0))
         assert res.status == "escape"
 
+    def test_collision_status(self):
+        res = return_map(State(0.903, 0.0, -1.0, 0.0), 0.1, 5, DetectorConfig(t_out=10.0))
+        assert res.status == "collision"
+        assert res.crossings == []
+
     def test_step_underflow_is_not_collision(self):
         opts = IntegratorOptions(h_min=0.05, h_init=0.05, rel_tol=1e-14, abs_tol=1e-16)
         s = plane_point(Plane.THETA0, 1.5, 0.5, 0.1)
