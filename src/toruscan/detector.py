@@ -57,6 +57,12 @@ __all__ = [
 ]
 
 _PLANE_TOL = 1e-9
+# xi is unresolved where |xi| <= _XI_FLOOR * rel_tol * |grad L|.  At seeds
+# with grad L parallel to grad H, xi = grad L - a grad H is cancellation
+# noise, and the integration error alone moves such an orbit to where
+# |xi| / |grad L| is a few rel_tol (circular mu = 0 orbits: up to 5 rel_tol
+# by t = 200).  The factor leaves room for that drift.
+_XI_FLOOR = 1e3
 
 
 class Classification(str, Enum):
@@ -127,9 +133,16 @@ def antisymmetric_tangent(s0: State, mu: float) -> TangentVector:
     return TangentVector(0.0, -v.dvx / n, v.dy / n, 0.0)
 
 
-def _make_g_monitor(mu: float) -> Callable[[tuple], tuple[float, float]]:
-    """g = omega(eta, xi(s)) and the homogeneity scale |eta||xi|."""
+def _make_g_monitor(
+    mu: float, opts: IntegratorOptions
+) -> Callable[[tuple], tuple[float, float]]:
+    """g = omega(eta, xi(s)) and the homogeneity scale |eta||xi|.
+
+    Both are 0 (never live) where xi is unresolved: grad H vanishes, or
+    grad L is parallel to it to within the integration's accuracy.
+    """
     om = 1.0 - mu
+    floor_sq = (_XI_FLOOR * opts.rel_tol) ** 2
 
     def g_fn(y):
         x, yy, vx, vy, ex, ey, evx, evy = y
@@ -153,6 +166,9 @@ def _make_g_monitor(mu: float) -> Callable[[tuple], tuple[float, float]]:
         xiy = gly - a * uy
         xivx = glvx - a * vx
         xivy = glvy - a * vy
+        xi2 = xix * xix + xiy * xiy + xivx * xivx + xivy * xivy
+        if xi2 <= floor_sq * (glx * glx + gly * gly + glvx * glvx + glvy * glvy):
+            return 0.0, 0.0
         g = (
             ex * xivx
             - evx * xix
@@ -160,10 +176,7 @@ def _make_g_monitor(mu: float) -> Callable[[tuple], tuple[float, float]]:
             - evy * xiy
             - 2.0 * (ex * xiy - ey * xix)
         )
-        scale = math.sqrt(
-            (ex * ex + ey * ey + evx * evx + evy * evy)
-            * (xix * xix + xiy * xiy + xivx * xivx + xivy * xivy)
-        )
+        scale = math.sqrt((ex * ex + ey * ey + evx * evx + evy * evy) * xi2)
         return g, scale
 
     return g_fn
@@ -187,13 +200,15 @@ def _make_guard(mu: float, opts: IntegratorOptions):
 
     Collision checks the full step chord against each massive body so a fast
     close passage inside the collision radius cannot slip between endpoints.
+    A body with |y1 - b|^2 > 2 (r_col^2 + |w|^2), w the chord, is skipped:
+    then |y1 - b| > r_col + |w|, so no point of the chord is within r_col.
     """
     bodies = []
     if 1.0 - mu > 0.0:
         bodies.append(-mu)
     if mu > 0.0:
         bodies.append(1.0 - mu)
-    r_col = opts.collision_radius
+    r_col_sq = opts.collision_radius * opts.collision_radius
     r_esc_sq = opts.escape_radius * opts.escape_radius
 
     def guard(y0, y1):
@@ -201,10 +216,14 @@ def _make_guard(mu: float, opts: IntegratorOptions):
         if x1 * x1 + yy1 * yy1 > r_esc_sq:
             return "escape"
         x0, yy0 = y0[0], y0[1]
+        wx, wy = x1 - x0, yy1 - yy0
+        w2 = wx * wx + wy * wy
+        far_sq = 2.0 * (r_col_sq + w2)
         for bx in bodies:
-            wx, wy = x1 - x0, yy1 - yy0
+            ex = x1 - bx
+            if ex * ex + yy1 * yy1 > far_sq:
+                continue
             px, py = bx - x0, -yy0
-            w2 = wx * wx + wy * wy
             if w2 > 0.0:
                 tt = (px * wx + py * wy) / w2
                 if tt < 0.0:
@@ -214,7 +233,7 @@ def _make_guard(mu: float, opts: IntegratorOptions):
             else:
                 tt = 0.0
             dx, dy = px - tt * wx, py - tt * wy
-            if dx * dx + dy * dy < r_col * r_col:
+            if dx * dx + dy * dy < r_col_sq:
                 return "collision"
         return None
 
@@ -366,13 +385,14 @@ def _final_lyapunov(y_end, state_dim, log_accum, eta0_norm, t_end):
 
 
 def _singular_outcome(s0, mu, reason) -> DetectionOutcome:
+    """The SingularSeed outcome; C is NaN when no seed state exists (None)."""
     return DetectionOutcome(
         classification=Classification.SINGULAR_SEED,
         t_detect=None,
         q=None,
         lyapunov=None,
         n_sign_events=0,
-        C=jacobi_constant(s0, mu),
+        C=math.nan if s0 is None else jacobi_constant(s0, mu),
         diagnostics={"reason": reason},
     )
 
@@ -444,7 +464,7 @@ def run_general(
         cfg.t_out,
         cfg.integrator,
         state_dim=4,
-        g_fn=_make_g_monitor(mu),
+        g_fn=_make_g_monitor(mu, cfg.integrator),
         qualify_fn=_make_lambda_qualifier(mu),
         guard_fn=_make_guard(mu, cfg.integrator),
         want_lyapunov=cfg.compute_lyapunov,
@@ -478,7 +498,7 @@ def run_symmetric(
         cfg.t_out,
         cfg.integrator,
         state_dim=4,
-        g_fn=_make_g_monitor(mu),
+        g_fn=_make_g_monitor(mu, cfg.integrator),
         qualify_fn=None,
         guard_fn=_make_guard(mu, cfg.integrator),
         want_lyapunov=cfg.compute_lyapunov,

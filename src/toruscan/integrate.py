@@ -6,8 +6,12 @@ alone and the pendulum oracle).  The driver supports:
 
 * adaptive steps with the usual error controller, plus a fixed-step mode for
   bit-reproducible runs;
-* bisection refinement of sign changes of scalar observables between
-  accepted steps, re-integrating substeps from the stored left endpoint.
+* location of sign changes of scalar observables between accepted steps:
+  the step holding the sign change is integrated again from its stored left
+  state, the root is found on that step's DOPRI5 continuous extension (the
+  stages it already computed, Hairer, Norsett & Wanner, Solving ODEs I,
+  II.6), and the root is polished on one-substep re-integrations from the
+  step's left state until it is bracketed to the time tolerance.
 
 One trial step has two implementations.  ``_attempt`` is the readable
 reference: generator expressions over the components, one per stage.
@@ -25,6 +29,7 @@ from __future__ import annotations
 
 import functools
 import math
+from collections import deque
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -67,6 +72,15 @@ _E1, _E3, _E4, _E5, _E6, _E7 = (
     -17253.0 / 339200.0,
     22.0 / 525.0,
     -1.0 / 40.0,
+)
+# Weights of the continuous extension (Hairer's DOPRI5 dense output).
+_D1, _D3, _D4, _D5, _D6, _D7 = (
+    -12715105075.0 / 11282082432.0,
+    87487479700.0 / 32700410799.0,
+    -10690763975.0 / 1880347072.0,
+    701980252875.0 / 199316789632.0,
+    -1453857185.0 / 822651844.0,
+    69997945.0 / 29380423.0,
 )
 
 
@@ -297,6 +311,102 @@ class DopriDriver:
             h = max(opts.h_min, h_try * max(0.1, 0.9 * err ** -0.2))
 
 
+def _dense_output(t0, y0, t1, y1, k):
+    """The step's 4th-order continuous extension, t -> y(t) on [t0, t1].
+
+    k holds the step's stage derivatives k1 ... k7 (k2 is unused).
+    """
+    h = t1 - t0
+    k1, _, k3, k4, k5, k6, k7 = k
+    rows = []
+    for i in range(len(y0)):
+        dy = y1[i] - y0[i]
+        bspl = h * k1[i] - dy
+        rows.append(
+            (
+                y0[i],
+                dy,
+                bspl,
+                dy - h * k7[i] - bspl,
+                h
+                * (
+                    _D1 * k1[i]
+                    + _D3 * k3[i]
+                    + _D4 * k4[i]
+                    + _D5 * k5[i]
+                    + _D6 * k6[i]
+                    + _D7 * k7[i]
+                ),
+            )
+        )
+
+    def at(t):
+        s = (t - t0) / h
+        u = 1.0 - s
+        return tuple(
+            r0 + s * (r1 + u * (r2 + s * (r3 + u * r4))) for r0, r1, r2, r3, r4 in rows
+        )
+
+    return at
+
+
+def _illinois(f, a, fa, b, fb, tol, max_iter):
+    """Root of f on [a, b], fa and fb of opposite signs: Illinois regula falsi."""
+    c = a
+    side = 0
+    for _ in range(max_iter):
+        c = a - fa * (b - a) / (fb - fa)
+        if not a < c < b:
+            break
+        fc = f(c)
+        if fc == 0.0:
+            break
+        if (fc > 0.0) == (fb > 0.0):
+            b, fb = c, fc
+            if side == -1:
+                fa *= 0.5
+            side = -1
+        else:
+            a, fa = c, fc
+            if side == 1:
+                fb *= 0.5
+            side = 1
+        if b - a <= tol:
+            break
+    return c
+
+
+def _polish(at, t_est, lo, hi, time_tol, max_iter):
+    """Bracket the root of g along at(t) -> (y, g) to time_tol*max(1, |t|).
+
+    lo and hi are (t, g, y) on either side of the root.  Each round tries
+    the estimate's two neighbours half a tolerance away, then moves the
+    estimate to the secant root through them.  Returns the (t, y) of the
+    final bracket's end with the smaller |g|.
+    """
+    (a, ga, ya), (b, gb, yb) = lo, hi
+    for _ in range(max_iter):
+        half = 0.5 * time_tol * max(1.0, abs(t_est))
+        tried = []
+        for t in (t_est - half, t_est + half):
+            if a < t < b:
+                y, gt = at(t)
+                if gt == 0.0:
+                    return t, y
+                tried.append((t, gt))
+                if (gt > 0.0) == (ga > 0.0):
+                    a, ga, ya = t, gt, y
+                else:
+                    b, gb, yb = t, gt, y
+        if b - a <= 2.0 * half:
+            break
+        (u, gu), (v, gv) = tried if len(tried) == 2 else ((a, ga), (b, gb))
+        t_est = u - gu * (v - u) / (gv - gu) if gv != gu else 0.5 * (a + b)
+        if not a < t_est < b:
+            t_est = 0.5 * (a + b)
+    return (a, ya) if abs(ga) <= abs(gb) else (b, yb)
+
+
 def refine_event(
     field,
     opts: IntegratorOptions,
@@ -309,11 +419,17 @@ def refine_event(
     time_tol: float = 1e-11,
     max_iter: int = 128,
 ):
-    """Locate a sign change of g_of_y inside one accepted step.
+    """Locate a sign change of g_of_y between t_left and t_right.
 
-    Bisection on re-integrated substeps: the bracket's left state is carried
-    along, so each midpoint evaluation integrates only the current
-    half-interval.  Returns (t_star, y_star) with g(t_star) ~ 0.
+    g_left and g_right carry the signs seen at the bracket's ends; g is
+    evaluated afresh at y_left.  The bracket is integrated again from
+    y_left, in one step when the error control accepts it (a bracket of
+    one accepted step) and otherwise in substeps up to the first whose end
+    has changed sign.  The root is found on that substep's continuous
+    extension and then bracketed to time_tol*max(1, |t|) on one-substep
+    re-integrations from its left state.  Returns (t_star, y_star) with
+    y_star that re-integration's state at t_star; if the re-integration
+    keeps g's sign up to t_right, the event is put at t_right.
     """
     if g_left == 0.0:
         return t_left, y_left
@@ -321,26 +437,42 @@ def refine_event(
         raise BracketError(
             f"no sign change on [{t_left}, {t_right}]: g = ({g_left}, {g_right})"
         )
-    drv = DopriDriver(field, opts)
-    a, b = t_left, t_right
-    ya, ga = y_left, g_left
-    y_star = y_left
-    for _ in range(max_iter):
-        m = 0.5 * (a + b)
-        if m <= a or m >= b:
+    g0 = g_of_y(y_left)
+    if g0 == 0.0:
+        return t_left, y_left
+    if (g0 > 0.0) != (g_left > 0.0):
+        raise BracketError(f"g(y_left) = {g0} does not have the sign of {g_left}")
+
+    # The last six field calls of a DopriDriver step are its accepted
+    # attempt's stages k2 ... k7.
+    stages = deque(maxlen=6)
+
+    def recording(y):
+        k = field(y)
+        stages.append(k)
+        return k
+
+    drv = DopriDriver(recording, opts).reset(
+        t_left, y_left, h=min(t_right - t_left, opts.h_max)
+    )
+    drv._k1 = field(y_left)
+    while True:
+        k1 = drv._k1
+        t0, y0, t1, y1 = drv.step(t_right)
+        g1 = g_of_y(y1)
+        if g1 == 0.0 or (t1 >= t_right and (g1 > 0.0) == (g0 > 0.0)):
+            return t1, y1
+        if (g1 > 0.0) != (g0 > 0.0):
             break
-        drv.reset(a, ya, h=min(opts.h_init, m - a))
-        while drv.t < m:
-            drv.step(m)
-        ym = drv.y
-        gm = g_of_y(ym)
-        if gm == 0.0:
-            return m, ym
-        if (gm > 0.0) == (ga > 0.0):
-            a, ya, ga = m, ym, gm
-        else:
-            b = m
-        y_star = ym
-        if b - a <= time_tol * max(1.0, abs(a), abs(b)):
-            break
-    return 0.5 * (a + b), y_star
+        g0 = g1
+
+    dense = _dense_output(t0, y0, t1, y1, (k1, *stages))
+    tol = time_tol * max(1.0, abs(t0), abs(t1))
+    t_est = _illinois(lambda t: g_of_y(dense(t)), t0, g0, t1, g1, tol, max_iter)
+    attempt = _attempt_kernel(len(y0))
+
+    def reintegrate(t):
+        y = attempt(field, opts, y0, k1, t - t0)[0]
+        return y, g_of_y(y)
+
+    return _polish(reintegrate, t_est, (t0, g0, y0), (t1, g1, y1), time_tol, max_iter)

@@ -134,8 +134,21 @@ def outcome_to_dict(out: DetectionOutcome) -> dict:
     }
 
 
+def _json_grid(result: ScanResult, attr: str) -> list:
+    """One float field per cell; a non-finite value is written as null."""
+
+    def value(x):
+        return x if x is None or math.isfinite(x) else None
+
+    return [[value(getattr(out, attr)) for out in row] for row in result.cells]
+
+
 def scan_json_text(result: ScanResult, prov: dict) -> str:
-    """Self-describing envelope: config, metadata, grid data, overlays."""
+    """Self-describing envelope: config, metadata, grid data, overlays.
+
+    Strict JSON: non-finite grid values (the C of a cell whose seed sits on
+    a body) are null.
+    """
     envelope = {
         "format": "toruscan.scan.v1",
         "version": prov["version"],
@@ -147,10 +160,10 @@ def scan_json_text(result: ScanResult, prov: dict) -> str:
         "classification": [
             [out.classification.value for out in row] for row in result.cells
         ],
-        "t_detect": [[out.t_detect for out in row] for row in result.cells],
-        "q": [[out.q for out in row] for row in result.cells],
-        "lyapunov": [[out.lyapunov for out in row] for row in result.cells],
-        "C": [[out.C for out in row] for row in result.cells],
+        "t_detect": _json_grid(result, "t_detect"),
+        "q": _json_grid(result, "q"),
+        "lyapunov": _json_grid(result, "lyapunov"),
+        "C": _json_grid(result, "C"),
         "n_sign_events": [
             [out.n_sign_events for out in row] for row in result.cells
         ],
@@ -159,7 +172,7 @@ def scan_json_text(result: ScanResult, prov: dict) -> str:
             for c in result.overlays
         ],
     }
-    return json.dumps(envelope, allow_nan=True)
+    return json.dumps(envelope, allow_nan=False)
 
 
 def outcomes_json_text(command: str, items: list, prov: dict) -> str:

@@ -28,17 +28,12 @@ import numpy as np
 from . import __version__
 from .detector import (
     Classification,
-    DetectionOutcome,
     DetectorConfig,
     Formulation,
+    _singular_outcome,
     run as run_detector,
 )
-from .dynamics import (
-    State,
-    effective_potential,
-    validate_mass_ratio,
-    vector_field,
-)
+from .dynamics import State, validate_mass_ratio, vector_field
 from .foliation import (
     Plane,
     is_degenerate,
@@ -130,24 +125,25 @@ def _plane_body_radii(plane: Plane, mu: float) -> list[float]:
 
 def _classify_cell(spec, cfg, exclusion_tol, r, L):
     plane, mu = spec.plane, spec.mu
-    for rb in _plane_body_radii(plane, mu):
-        if abs(r - rb) < exclusion_tol:
-            return _singular(plane, r, L, mu, "body-radius")
     try:
         seed = plane_point(plane, r, L, mu)
     except ValueError:
-        return _singular(plane, r, L, mu, "body-radius")
+        seed = None
+    if seed is None or any(
+        abs(r - rb) < exclusion_tol for rb in _plane_body_radii(plane, mu)
+    ):
+        return _singular_outcome(seed, mu, "body-radius")
 
     form = cfg.formulation
     general_reason = None
     if form in (Formulation.GENERAL, Formulation.BOTH):
         general_reason = _xi_singularity(seed, r, L, mu, plane, exclusion_tol)
         if general_reason is not None and form is not Formulation.BOTH:
-            return _singular(plane, r, L, mu, general_reason)
+            return _singular_outcome(seed, mu, general_reason)
     if form in (Formulation.SYMMETRIC, Formulation.BOTH):
         v = vector_field(seed, mu)
         if math.sqrt(v.dx**2 + v.dy**2 + v.dvx**2 + v.dvy**2) < exclusion_tol:
-            return _singular(plane, r, L, mu, "equilibrium")
+            return _singular_outcome(seed, mu, "equilibrium")
     if general_reason is not None:
         # Singular for the general formulation only: `both` still runs the
         # symmetric one, so it never finds less than symmetric alone.
@@ -155,7 +151,7 @@ def _classify_cell(spec, cfg, exclusion_tol, r, L):
     try:
         out = run_detector(seed, mu, cfg)
     except Exception as exc:  # per-cell failures never abort the scan
-        out = _singular(plane, r, L, mu, "error")
+        out = _singular_outcome(seed, mu, "error")
         out.diagnostics["detail"] = repr(exc)
         return out
     if general_reason is not None:
@@ -175,30 +171,6 @@ def _xi_singularity(seed, r, L, mu, plane, exclusion_tol):
         return "xi-singularity-curve"
     degenerate, reason = is_degenerate(seed, mu, tol=exclusion_tol)
     return reason if degenerate else None
-
-
-def _singular(plane, r, L, mu, reason) -> DetectionOutcome:
-    try:
-        c = -2.0 * (
-            0.5 * (L / r - r) ** 2
-            + _plane_potential(plane, r, mu)
-        )
-    except ValueError:
-        c = math.nan
-    return DetectionOutcome(
-        classification=Classification.SINGULAR_SEED,
-        t_detect=None,
-        q=None,
-        lyapunov=None,
-        n_sign_events=0,
-        C=c,
-        diagnostics={"reason": reason},
-    )
-
-
-def _plane_potential(plane, r, mu):
-    x = r if plane is Plane.THETA0 else -r
-    return effective_potential(x, 0.0, mu)
 
 
 def _scan_row(args):

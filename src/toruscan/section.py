@@ -95,9 +95,9 @@ def return_map(
 ) -> ReturnMapResult:
     """Successive downward crossings of p_r = 0 from one seed.
 
-    Sign changes of p_r between accepted steps are refined by bisection;
-    crossings with dp_r/dt <= -tangency tolerance are accepted, near-tangent
-    ones are counted as ambiguous and excluded.
+    Sign changes of p_r between accepted steps are located by
+    integrate.refine_event; crossings with dp_r/dt <= -tangency tolerance
+    are accepted, near-tangent ones are counted as ambiguous and excluded.
     """
     validate_mass_ratio(mu)
     if n_returns < 1:

@@ -36,6 +36,8 @@ from toruscan.pendulum import pendulum_detect, pendulum_energy
 from toruscan.scan import PlaneSeedSpec, plane_point, run_scan
 from toruscan.unperturbed import crossing_boundary
 
+pytestmark = pytest.mark.slow
+
 WORKERS = max(1, os.cpu_count() or 1)
 
 

@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import struct
 import zlib
@@ -159,6 +160,21 @@ class TestOutputs:
         assert parse_config(data["config_text"]) == cfg
         assert len(data["classification"]) == 10
         assert len(data["classification"][0]) == 10
+
+    def test_json_is_strict_with_null_for_non_finite_values(self):
+        # The middle r-column sits on the secondary (r = 1 - mu): no seed,
+        # so its cells carry C = NaN.
+        spec = PlaneSeedSpec(Plane.THETA0, 0.8, 1.0, 3, -1.0, 1.0, 2, 0.1)
+        res = run_scan(spec, DetectorConfig(t_out=1.0))
+        assert all(math.isnan(out.C) for out in res.cells[1])
+        text = scan_json_text(res, provenance(RunConfig(n_r=3, n_L=2, t_out=1.0)))
+
+        def reject(token):
+            raise ValueError(f"non-standard JSON constant {token}")
+
+        data = json.loads(text, parse_constant=reject)
+        assert data["C"][1] == [None, None]
+        assert data["C"][0] == [out.C for out in res.cells[0]]
 
     def test_csv_provenance_comments_are_rerunnable(self):
         res = small_scan()

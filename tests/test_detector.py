@@ -1,4 +1,5 @@
 import math
+import random
 from dataclasses import replace
 
 import numpy as np
@@ -152,6 +153,15 @@ class TestSymmetricSeedTangent:
 
 
 class TestSymmetricFormulation:
+    @pytest.mark.parametrize("L", [1.2, 1.4, -1.2])
+    def test_circular_unperturbed_orbit_never_arms(self, L):
+        # r = L^2 at mu = 0: grad L is parallel to grad H along the whole
+        # orbit, so xi is cancellation noise and must not arm the monitor.
+        seed = plane_point(Plane.THETA0, L * L, L, 0.0)
+        out = run_symmetric(seed, 0.0, cfg_with(t_out=40.0))
+        assert out.classification is Classification.UNDETERMINED
+        assert out.n_sign_events == 0
+
     def test_unperturbed_torus_seed_is_undetermined(self):
         out = run_symmetric(TORUS_SEED_MU0, 0.0, cfg_with(t_out=40.0))
         assert out.classification is Classification.UNDETERMINED
@@ -294,7 +304,7 @@ class TestGMonitor:
     @pytest.mark.parametrize("mu", [0.0, 0.1, 0.3])
     def test_matches_symplectic_form_of_foliation_xi(self, rng, mu):
         # The inlined monitor against the readable dynamics/foliation copies.
-        g_fn = _make_g_monitor(mu)
+        g_fn = _make_g_monitor(mu, IntegratorOptions())
         for s in random_states(rng, 40, avoid_mu=mu):
             eta = tuple(float(c) for c in rng.normal(size=4))
             g, scale = g_fn(tuple(s) + eta)
@@ -317,6 +327,45 @@ class TestGuard:
     def test_escape_radius(self):
         guard = _make_guard(0.1, IntegratorOptions(escape_radius=5.0))
         assert guard((1, 0, 0, 0), (5.1, 0.0, 0.0, 0.0)) == "escape"
+
+    @staticmethod
+    def _chord_distance(b, p, q):
+        """Distance from b to the segment pq: an endpoint or the foot of
+        the perpendicular, whichever is closer and on the segment."""
+        ends = min(math.dist(b, p), math.dist(b, q))
+        w = math.dist(p, q)
+        if w == 0.0:
+            return ends
+        wx, wy = q[0] - p[0], q[1] - p[1]
+        s = ((b[0] - p[0]) * wx + (b[1] - p[1]) * wy) / (w * w)
+        if not 0.0 < s < 1.0:
+            return ends
+        cross = wx * (b[1] - p[1]) - wy * (b[0] - p[0])
+        return min(ends, abs(cross) / w)
+
+    def test_matches_chord_distance_oracle(self):
+        mu, r_col = 0.1, 1e-3
+        guard = _make_guard(mu, IntegratorOptions(collision_radius=r_col))
+        rng = random.Random(20240817)
+        verdicts = {"collision": 0, None: 0}
+        for bx in (-mu, 1.0 - mu):
+            for _ in range(100_000):
+                # Start within 3 r_col of the body; chord lengths from
+                # 1e-6 to 1e-1 (log-uniform) in any direction.
+                p = (bx + rng.uniform(-3, 3) * r_col, rng.uniform(-3, 3) * r_col)
+                w = 10.0 ** rng.uniform(-6.0, -1.0)
+                a = rng.uniform(0.0, 2.0 * math.pi)
+                q = (p[0] + w * math.cos(a), p[1] + w * math.sin(a))
+                d = min(
+                    self._chord_distance((b, 0.0), p, q) for b in (-mu, 1.0 - mu)
+                )
+                if abs(d - r_col) <= 1e-9 * r_col:
+                    continue  # a tie within rounding decides nothing
+                expected = "collision" if d < r_col else None
+                got = guard((*p, 0.0, 0.0), (*q, 0.0, 0.0))
+                assert got == expected, (p, q, d)
+                verdicts[got] += 1
+        assert min(verdicts.values()) > 20_000
 
 
 class TestOutcomeInvariants:

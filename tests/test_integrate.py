@@ -12,6 +12,7 @@ from toruscan.integrate import (
     StepUnderflowError,
     _attempt,
     _attempt_kernel,
+    _dense_output,
     refine_event,
 )
 
@@ -119,6 +120,72 @@ class TestRefinement:
                 1.0,
                 0.5,
             )
+
+    def test_left_state_must_have_the_given_sign(self):
+        with pytest.raises(BracketError):
+            refine_event(
+                harmonic_field,
+                IntegratorOptions(),
+                0.0,
+                (1.0, 0.0),
+                2.0,
+                lambda y: y[0],
+                -1.0,
+                0.5,
+            )
+
+    def test_state_is_the_one_substep_reintegration_at_t_star(self):
+        # x = cos t crosses zero inside one accepted step of the oscillator.
+        opts = IntegratorOptions()
+        drv = DopriDriver(harmonic_field, opts).reset(0.0, (1.0, 0.0))
+        t0, y0, t1, y1 = drv.step(10.0)
+        while y1[0] > 0.0:
+            t0, y0, t1, y1 = drv.step(10.0)
+        t_star, y_star = refine_event(
+            harmonic_field, opts, t0, y0, t1, lambda y: y[0], y0[0], y1[0]
+        )
+        assert t0 < t_star < t1
+        again = _attempt_kernel(2)(
+            harmonic_field, opts, y0, harmonic_field(y0), t_star - t0
+        )[0]
+        assert y_star == again
+        # |g| within the time tolerance times |dg/dt| = |v|.
+        assert abs(y_star[0]) <= 1e-11 * max(1.0, t_star) * abs(y_star[1])
+        assert t_star == pytest.approx(0.5 * math.pi, abs=1e-9)
+
+    def test_bracket_of_several_steps(self):
+        # g passes through zero once inside [0, 3], which spans dozens of
+        # steps at h_max = 0.1.
+        opts = IntegratorOptions()
+        t_star, y_star = refine_event(
+            harmonic_field, opts, 0.0, (1.0, 0.0), 3.0, lambda y: y[0], 1.0, -0.99
+        )
+        assert t_star == pytest.approx(0.5 * math.pi, abs=1e-9)
+        assert abs(y_star[0]) <= 1e-11 * max(1.0, t_star) * abs(y_star[1])
+        assert y_star[1] == pytest.approx(-1.0, abs=1e-9)
+
+    def test_continuous_extension_is_fourth_order(self):
+        # The interpolant's error inside one step falls as h^5.
+        opts = IntegratorOptions(fixed_step=True)
+        y0 = (1.0, 0.3)
+        errors = []
+        for h in (0.4, 0.2, 0.1):
+            stages = []
+
+            def recording(y):
+                stages.append(pendulum_like_field(y))
+                return stages[-1]
+
+            k1 = pendulum_like_field(y0)
+            y1, _, _ = _attempt_kernel(2)(recording, opts, y0, k1, h)
+            dense = _dense_output(0.0, y0, h, y1, (k1, *stages))
+            t = 0.37 * h
+            exact = drive_to(
+                pendulum_like_field, y0, t, IntegratorOptions(rel_tol=1e-14, abs_tol=1e-16)
+            ).y
+            errors.append(max(abs(a - b) for a, b in zip(dense(t), exact)))
+        assert errors[0] / errors[1] > 24.0
+        assert errors[1] / errors[2] > 24.0
 
     @staticmethod
     def _apsis_time(rel_tol):

@@ -4,6 +4,7 @@ import warnings
 import numpy as np
 import pytest
 
+import toruscan.scan as scan
 from toruscan.detector import Classification, DetectorConfig, Formulation
 from toruscan.dynamics import State, angular_momentum, lagrange_points
 from toruscan.foliation import Plane
@@ -124,6 +125,32 @@ class TestRunScan:
         assert sum(res.metadata["counts"].values()) == 25
         assert res.metadata["mu"] == 0.1
         assert res.metadata["t_out"] == 3.0
+
+    def test_detector_exception_stays_in_its_cell(self, monkeypatch):
+        spec = PlaneSeedSpec(Plane.THETA0, 0.5, 3.0, 4, -1.5, 1.5, 4, 0.1)
+        cfg = DetectorConfig(t_out=2.0)
+        ref = run_scan(spec, cfg)
+        assert ref.cells[1][2].classification is not Classification.SINGULAR_SEED
+        bad = plane_point(Plane.THETA0, spec.r_values()[1], spec.L_values()[2], 0.1)
+        real = scan.run_detector
+
+        def flaky(seed, mu, cfg):
+            if seed == bad:
+                raise RuntimeError("injected failure")
+            return real(seed, mu, cfg)
+
+        monkeypatch.setattr(scan, "run_detector", flaky)
+        res = run_scan(spec, cfg)
+        for i in range(4):
+            for j in range(4):
+                out, want = res.cells[i][j], ref.cells[i][j]
+                if (i, j) == (1, 2):
+                    assert out.classification is Classification.SINGULAR_SEED
+                    assert out.diagnostics["reason"] == "error"
+                    assert "injected failure" in out.diagnostics["detail"]
+                    assert out.C == want.C
+                else:
+                    assert out == want
 
     def test_negative_plane_matches_mirrored_positive_plane(self):
         # Scanning the negative-x plane at mu equals scanning the
