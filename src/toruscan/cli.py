@@ -13,8 +13,6 @@ import json
 import sys
 from dataclasses import fields
 
-import numpy as np
-
 from . import __version__
 from .config import (
     ConfigError,
@@ -40,7 +38,7 @@ from .output import (
     write_text_atomic,
 )
 from .pendulum import pendulum_detect
-from .scan import assemble_overlays, plane_point, run_scan
+from .scan import assemble_overlays, linspace, plane_point, run_scan
 from .section import return_map
 
 # Every configuration key is a flag; each flag's value is parsed like the
@@ -191,15 +189,11 @@ def _cmd_section(cfg: RunConfig) -> int:
 
 
 def _cmd_pendulum(cfg: RunConfig) -> int:
-    if cfg.n_p0 == 1:
-        p0_values = [cfg.p0_min]
-    else:
-        p0_values = list(np.linspace(cfg.p0_min, cfg.p0_max, cfg.n_p0))
     opts = to_integrator_options(cfg)
     items = []
-    for p0 in p0_values:
-        out = pendulum_detect(cfg.q0, float(p0), cfg.t_out, opts)
-        item = {"q0": cfg.q0, "p0": float(p0), "H": out.C}
+    for p0 in linspace(cfg.p0_min, cfg.p0_max, cfg.n_p0):
+        out = pendulum_detect(cfg.q0, p0, cfg.t_out, opts)
+        item = {"q0": cfg.q0, "p0": p0, "H": out.C}
         item.update(outcome_to_dict(out))
         items.append(item)
     return _emit_results(cfg, items)

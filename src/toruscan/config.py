@@ -316,17 +316,8 @@ def provenance(cfg: RunConfig) -> dict:
 
 
 def to_integrator_options(cfg: RunConfig) -> IntegratorOptions:
-    return IntegratorOptions(
-        rel_tol=cfg.rel_tol,
-        abs_tol=cfg.abs_tol,
-        h_init=cfg.h_init,
-        h_min=cfg.h_min,
-        h_max=cfg.h_max,
-        renorm_threshold=cfg.renorm_threshold,
-        collision_radius=cfg.collision_radius,
-        escape_radius=cfg.escape_radius,
-        fixed_step=cfg.fixed_step,
-    )
+    names = (f.name for f in fields(IntegratorOptions))
+    return IntegratorOptions(**{name: getattr(cfg, name) for name in names})
 
 
 def to_detector_config(cfg: RunConfig) -> DetectorConfig:

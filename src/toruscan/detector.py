@@ -299,6 +299,7 @@ def monitor_run(
     status = "timeout"
     detection_done = g_fn is None
     thresh_sq = opts.renorm_threshold * opts.renorm_threshold
+    joint = state_dim == 4 and len(y0) == 8  # sums |eta|^2 as the loop below
 
     armed = 0
     armed_t, armed_y = 0.0, y0
@@ -354,9 +355,13 @@ def monitor_run(
                 armed = 1 if g_new > 0.0 else -1
                 armed_t, armed_y = t1, y1
         if state_dim < len(y1):
-            tn_sq = 0.0
-            for c in y1[state_dim:]:
-                tn_sq += c * c
+            if joint:
+                _, _, _, _, a, b, c, d = y1
+                tn_sq = 0.0 + a * a + b * b + c * c + d * d
+            else:
+                tn_sq = 0.0
+                for c in y1[state_dim:]:
+                    tn_sq += c * c
             if tn_sq > thresh_sq:
                 norm = math.sqrt(tn_sq)
                 inv = 1.0 / norm

@@ -6,6 +6,12 @@ secondary (mass mu) at (1-mu, 0).  The canonical internal representation is
 the velocity form (x, y, vx, vy); inertial momenta and polar canonical
 coordinates are converted on demand.
 
+The hot fields, ``flow_field`` and ``joint_field``, are each written once
+as a formula source and compiled into the callable and a DOPRI5 trial step
+with the body inlined (``integrate.make_field``); a wrapped field steps
+through the call-through kernel with the same results.  ``potential_gradient``
+and ``potential_hessian`` stay as the readable oracles.
+
 The rotating-frame Hamiltonian is H = |v|^2/2 + U(x, y) with effective
 potential U = -(x^2+y^2)/2 - (1-mu)/r1 - mu/r2, and the symplectic form in
 velocity coordinates is  omega = dx^dvx + dy^dvy - 2 dx^dy.  The Jacobi
@@ -14,9 +20,12 @@ constant is C = -2H.
 
 from __future__ import annotations
 
+import functools
 import math
 import warnings
 from typing import Callable, NamedTuple
+
+from .integrate import FieldSource, make_field
 
 __all__ = [
     "State",
@@ -307,36 +316,58 @@ def lagrange_points(mu: float) -> tuple[tuple[float, float], ...]:
     )
 
 
+# Formula sources of the hot fields.  The mu > 0 and mu = 0 bodies associate
+# the potential's terms differently, so each keeps its own.
+_STATE = ("x", "yy", "vx", "vy")
+_TANGENT = ("ex", "ey", "evx", "evy")
+_GRADIENT = (
+    "dx1 = x + mu",
+    "r1s = dx1 * dx1 + yy * yy",
+    "ir13 = 1.0 / (r1s * sqrt(r1s))",
+    "dx2 = x - om",
+    "r2s = dx2 * dx2 + yy * yy",
+    "ir23 = 1.0 / (r2s * sqrt(r2s))",
+    "ux = -x + om * dx1 * ir13 + mu * dx2 * ir23",
+    "uy = -yy + om * yy * ir13 + mu * yy * ir23",
+)
+_HESSIAN = (
+    "ir15 = ir13 / r1s",
+    "ir25 = ir23 / r2s",
+    "uxx = -1.0 + om * (ir13 - 3.0 * dx1 * dx1 * ir15)"
+    " + mu * (ir23 - 3.0 * dx2 * dx2 * ir25)",
+    "uxy = -3.0 * (om * dx1 * yy * ir15 + mu * dx2 * yy * ir25)",
+    "uyy = -1.0 + om * (ir13 - 3.0 * yy * yy * ir15)"
+    " + mu * (ir23 - 3.0 * yy * yy * ir25)",
+)
+_GRADIENT0 = (
+    "rs = x * x + yy * yy",
+    "ir3 = 1.0 / (rs * sqrt(rs))",
+    "ux = -x + x * ir3",
+    "uy = -yy + yy * ir3",
+)
+_HESSIAN0 = (
+    "ir5 = ir3 / rs",
+    "uxx = -1.0 + ir3 - 3.0 * x * x * ir5",
+    "uxy = -3.0 * x * yy * ir5",
+    "uyy = -1.0 + ir3 - 3.0 * yy * yy * ir5",
+)
+_FLOW_OUT = ("vx", "vy", "2.0 * vy - ux", "-2.0 * vx - uy")
+_TANGENT_OUT = (
+    "evx",
+    "evy",
+    "-uxx * ex - uxy * ey + 2.0 * evy",
+    "-uxy * ex - uyy * ey - 2.0 * evx",
+)
+
+
+@functools.cache
 def flow_field(mu: float) -> Callable[[tuple], tuple]:
     """Derivative map for the flow alone, on 4-tuples (hot path)."""
-    om = 1.0 - mu
-    if mu == 0.0:
-
-        def field0(y):
-            x, yy, vx, vy = y
-            rs = x * x + yy * yy
-            ir3 = 1.0 / (rs * math.sqrt(rs))
-            ux = -x + x * ir3
-            uy = -yy + yy * ir3
-            return (vx, vy, 2.0 * vy - ux, -2.0 * vx - uy)
-
-        return field0
-
-    def field(y):
-        x, yy, vx, vy = y
-        dx1 = x + mu
-        r1s = dx1 * dx1 + yy * yy
-        ir13 = 1.0 / (r1s * math.sqrt(r1s))
-        dx2 = x - om
-        r2s = dx2 * dx2 + yy * yy
-        ir23 = 1.0 / (r2s * math.sqrt(r2s))
-        ux = -x + om * dx1 * ir13 + mu * dx2 * ir23
-        uy = -yy + om * yy * ir13 + mu * yy * ir23
-        return (vx, vy, 2.0 * vy - ux, -2.0 * vx - uy)
-
-    return field
+    source = FieldSource(_STATE, _GRADIENT0 if mu == 0.0 else _GRADIENT, _FLOW_OUT)
+    return make_field(source, f"flow field, mu={mu!r}", mu=mu, om=1.0 - mu)
 
 
+@functools.cache
 def joint_field(mu: float) -> Callable[[tuple], tuple]:
     """Derivative map for the joint (state, tangent) system on 8-tuples.
 
@@ -344,64 +375,6 @@ def joint_field(mu: float) -> Callable[[tuple], tuple]:
     DV * eta; first and second potential derivatives share the distance
     computations for speed.
     """
-    om = 1.0 - mu
-    if mu == 0.0:
-
-        def field0(y):
-            x, yy, vx, vy, ex, ey, evx, evy = y
-            rs = x * x + yy * yy
-            ir3 = 1.0 / (rs * math.sqrt(rs))
-            ir5 = ir3 / rs
-            ux = -x + x * ir3
-            uy = -yy + yy * ir3
-            uxx = -1.0 + ir3 - 3.0 * x * x * ir5
-            uxy = -3.0 * x * yy * ir5
-            uyy = -1.0 + ir3 - 3.0 * yy * yy * ir5
-            return (
-                vx,
-                vy,
-                2.0 * vy - ux,
-                -2.0 * vx - uy,
-                evx,
-                evy,
-                -uxx * ex - uxy * ey + 2.0 * evy,
-                -uxy * ex - uyy * ey - 2.0 * evx,
-            )
-
-        return field0
-
-    def field(y):
-        x, yy, vx, vy, ex, ey, evx, evy = y
-        dx1 = x + mu
-        r1s = dx1 * dx1 + yy * yy
-        ir13 = 1.0 / (r1s * math.sqrt(r1s))
-        ir15 = ir13 / r1s
-        dx2 = x - om
-        r2s = dx2 * dx2 + yy * yy
-        ir23 = 1.0 / (r2s * math.sqrt(r2s))
-        ir25 = ir23 / r2s
-        ux = -x + om * dx1 * ir13 + mu * dx2 * ir23
-        uy = -yy + om * yy * ir13 + mu * yy * ir23
-        uxx = (
-            -1.0
-            + om * (ir13 - 3.0 * dx1 * dx1 * ir15)
-            + mu * (ir23 - 3.0 * dx2 * dx2 * ir25)
-        )
-        uxy = -3.0 * (om * dx1 * yy * ir15 + mu * dx2 * yy * ir25)
-        uyy = (
-            -1.0
-            + om * (ir13 - 3.0 * yy * yy * ir15)
-            + mu * (ir23 - 3.0 * yy * yy * ir25)
-        )
-        return (
-            vx,
-            vy,
-            2.0 * vy - ux,
-            -2.0 * vx - uy,
-            evx,
-            evy,
-            -uxx * ex - uxy * ey + 2.0 * evy,
-            -uxy * ex - uyy * ey - 2.0 * evx,
-        )
-
-    return field
+    body = _GRADIENT0 + _HESSIAN0 if mu == 0.0 else _GRADIENT + _HESSIAN
+    source = FieldSource(_STATE + _TANGENT, body, _FLOW_OUT + _TANGENT_OUT)
+    return make_field(source, f"joint field, mu={mu!r}", mu=mu, om=1.0 - mu)

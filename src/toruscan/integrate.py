@@ -13,16 +13,18 @@ alone and the pendulum oracle).  The driver supports:
   II.6), and the root is polished on one-substep re-integrations from the
   step's left state until it is bracketed to the time tolerance.
 
-One trial step has two implementations.  ``_attempt`` is the readable
-reference: generator expressions over the components, one per stage.
-``_attempt_kernel(n)`` returns the same step for n-dimensional systems as
-straight-line code, generated from the tableau on first use for each n and
-cached.  Every component expression of the kernel performs the reference's
-operations in the reference's order, so its ``(y_new, k7, err)`` equal the
-reference's bit for bit; the kernel only drops the generator and tuple
-machinery, which cost more than the field evaluations themselves.
-``DopriDriver`` steps with the kernel, and the tests compare the kernel with
-the reference.
+One trial step has a readable reference, ``_attempt`` (generator
+expressions over the components, one per stage), and straight-line kernels
+that one generator writes out from the tableau with either stage body: a
+call of the field (``_attempt_kernel(n)``, per state dimension, for any
+field) or the field's own body inlined at every stage (``make_field``
+compiles a field written once as a ``FieldSource`` into the callable and
+this kernel, as its ``.attempt``).  Every component expression of a kernel
+performs the reference's operations in the reference's order, so its
+``(y_new, k7, err)`` equal the reference's bit for bit.  ``DopriDriver`` and
+``refine_event``'s polish step with the field's ``.attempt`` when it has
+one and with the call-through kernel otherwise; the tests compare both
+with the reference.
 """
 
 from __future__ import annotations
@@ -31,13 +33,15 @@ import functools
 import math
 from collections import deque
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 __all__ = [
     "IntegratorOptions",
     "StepUnderflowError",
     "BracketError",
     "DopriDriver",
+    "FieldSource",
+    "make_field",
     "refine_event",
 ]
 
@@ -181,6 +185,15 @@ _B_ROW = (_B1, None, _B3, _B4, _B5, _B6)
 _E_ROW = (_E1, None, _E3, _E4, _E5, _E6, _E7)
 
 
+class FieldSource(NamedTuple):
+    """A field written once: the names of its state's components, the body's
+    statements (``sqrt`` in scope) and one expression per derivative."""
+
+    inputs: tuple
+    body: tuple
+    outputs: tuple
+
+
 def _weighted_sum(row, i):
     """'c1 * k1_i + c2 * k2_i + ...' over the nonzero weights of row."""
     return " + ".join(
@@ -188,8 +201,8 @@ def _weighted_sum(row, i):
     )
 
 
-def _kernel_source(n: int) -> str:
-    """Source of _attempt written out for n-dimensional systems.
+def _kernel_lines(n: int, source: FieldSource | None = None) -> list:
+    """Body of _attempt written out for n-dimensional systems.
 
     Each component keeps the reference's expression and operand order:
     ``y_i + h * _A21 * k1_i`` (with ``h * _A21`` formed once, as the
@@ -198,6 +211,9 @@ def _kernel_source(n: int) -> str:
     summed in component order from 0.0.  ``max(u, v)`` is spelled ``v if
     v > u else u``, which is how max picks between two values.  Float
     literals are the constants' reprs, which round-trip exactly.
+
+    Given the field's source, each stage binds its inputs to the stage
+    state's components and runs its body in place of the field call.
     """
 
     def tup(items):
@@ -207,37 +223,52 @@ def _kernel_source(n: int) -> str:
         return tup(f"{prefix}_{i}" for i in range(n))
 
     def stage(row):
-        return tup(f"y_{i} + h * ({_weighted_sum(row, i)})" for i in range(n))
+        return [f"y_{i} + h * ({_weighted_sum(row, i)})" for i in range(n)]
+
+    def derivative(s, state):
+        """Lines setting k{s}_0 ... k{s}_{n-1} to the field at state."""
+        if source is None:
+            return [f"{names(f'k{s}')} = field(({tup(state)}))"]
+        return [
+            *(f"{name} = {c}" for name, c in zip(source.inputs, state)),
+            *source.body,
+            *(f"k{s}_{i} = {c}" for i, c in enumerate(source.outputs)),
+        ]
 
     lines = [
-        "def attempt(field, opts, y, k1, h):",
-        f"    {names('y')} = y",
-        f"    {names('k1')} = k1",
-        f"    h21 = h * {_A21!r}",
-        f"    {names('k2')} = field(({tup(f'y_{i} + h21 * k1_{i}' for i in range(n))}))",
+        f"{names('y')} = y",
+        f"{names('k1')} = k1",
+        f"h21 = h * {_A21!r}",
+        *derivative(2, [f"y_{i} + h21 * k1_{i}" for i in range(n)]),
     ]
     for s, row in enumerate(_STAGE_ROWS, start=3):
-        lines.append(f"    {names(f'k{s}')} = field(({stage(row)}))")
+        lines += derivative(s, stage(row))
+    lines.append(f"{names('n')} = y_new = ({tup(stage(_B_ROW))})")
+    lines += derivative(7, [f"n_{i}" for i in range(n)])
     lines += [
-        f"    y_new = ({stage(_B_ROW)})",
-        "    k7 = field(y_new)",
-        "    if opts.fixed_step:",
-        "        return y_new, k7, 0.0",
-        f"    {names('n')} = y_new",
-        f"    {names('k7')} = k7",
-        "    rel, ab = opts.rel_tol, opts.abs_tol",
+        f"k7 = ({names('k7')})",
+        "if opts.fixed_step:",
+        "    return y_new, k7, 0.0",
+        "rel, ab = opts.rel_tol, opts.abs_tol",
     ]
     for i in range(n):
         lines += [
-            f"    u, v = abs(y_{i}), abs(n_{i})",
-            f"    q_{i} = h * ({_weighted_sum(_E_ROW, i)}) / (ab + rel * (v if v > u else u))",
+            f"u, v = abs(y_{i}), abs(n_{i})",
+            f"q_{i} = h * ({_weighted_sum(_E_ROW, i)}) / (ab + rel * (v if v > u else u))",
         ]
     squares = "".join(f" + q_{i} * q_{i}" for i in range(n))
-    lines += [
-        f"    err_sq = 0.0{squares}",
-        f"    return y_new, k7, sqrt(err_sq / {float(n)!r})",
+    return lines + [
+        f"err_sq = 0.0{squares}",
+        f"return y_new, k7, sqrt(err_sq / {float(n)!r})",
     ]
-    return "\n".join(lines) + "\n"
+
+
+def _compile(head: str, lines, label: str):
+    """The function ``def head:`` with body lines, with sqrt in scope."""
+    text = f"def {head}:\n" + "".join(f"    {line}\n" for line in lines)
+    namespace = {"sqrt": math.sqrt}
+    exec(compile(text, f"<{label}>", "exec"), namespace)
+    return namespace[head.partition("(")[0]]
 
 
 @functools.cache
@@ -245,15 +276,27 @@ def _attempt_kernel(n: int):
     """The straight-line equivalent of _attempt for n-dimensional systems."""
     if n < 1:
         raise ValueError(f"state dimension must be positive, got {n}")
-    namespace = {"sqrt": math.sqrt}
-    exec(compile(_kernel_source(n), f"<dopri5 attempt, n={n}>", "exec"), namespace)
-    return namespace["attempt"]
+    return _compile(
+        "attempt(field, opts, y, k1, h)", _kernel_lines(n), f"dopri5 attempt, n={n}"
+    )
 
 
-def _growth_factor(err):
-    if err == 0.0:
-        return 5.0
-    return min(5.0, max(0.2, 0.9 * err ** -0.2))
+def make_field(source: FieldSource, label: str, **constants):
+    """The callable field of source, carrying its fused kernel as ``.attempt``.
+
+    Both bind each constant to its float literal on entry.  The kernel is
+    _attempt with the field's body inlined at every stage.
+    """
+    consts = [f"{name} = {float(value)!r}" for name, value in constants.items()]
+    inputs, outputs = ", ".join(source.inputs), ", ".join(source.outputs)
+    body = [*consts, f"{inputs} = y", *source.body, f"return ({outputs})"]
+    field = _compile("field(y)", body, label)
+    field.attempt = _compile(
+        "attempt(field, opts, y, k1, h)",
+        consts + _kernel_lines(len(source.inputs), source),
+        f"{label}, fused attempt",
+    )
+    return field
 
 
 class DopriDriver:
@@ -266,21 +309,24 @@ class DopriDriver:
         self.y: tuple = ()
         self.h = opts.h_init
         self._k1: tuple | None = None
-        self._attempt = _attempt  # reset() picks the kernel for len(y)
+        self._attempt = _attempt  # reset() picks the kernel for the field
 
     def reset(self, t: float, y: Sequence[float], h: float | None = None):
         self.t = t
         self.y = tuple(y)
         self.h = self.opts.h_init if h is None else h
         self._k1 = None
-        self._attempt = _attempt_kernel(len(self.y))
+        fused = getattr(self.field, "attempt", None)
+        self._attempt = fused or _attempt_kernel(len(self.y))
         return self
 
     def step(self, t_limit: float):
         """Advance one accepted step, not crossing t_limit.
 
         Returns (t0, y0, t1, y1).  Raises StepUnderflowError if the error
-        tolerance cannot be met above h_min.
+        tolerance cannot be met above h_min.  The controller spells min(a, b)
+        ``b if b < a else a`` and max(a, b) ``b if b > a else a``: the floats
+        the builtins return, NaN and ties included, without their calls.
         """
         opts = self.opts
         t0, y0 = self.t, self.y
@@ -288,18 +334,24 @@ class DopriDriver:
             self._k1 = self.field(y0)
         k1 = self._k1
         h = opts.h_init if opts.fixed_step else self.h
+        rest = t_limit - t0
         while True:
-            h_try = min(h, t_limit - t0)
+            h_try = rest if rest < h else h
             if h_try <= 0.0:
                 raise ValueError("step() called at or past t_limit")
             y_new, k7, err = self._attempt(self.field, opts, y0, k1, h_try)
             if err <= 1.0:
+                # min(5, max(0.2, 0.9 err^-0.2)), 5 at err = 0; err <= 1 makes
+                # the factor at least 0.9, so the 0.2 floor never binds.
+                growth = 0.9 * err**-0.2 if err != 0.0 else 5.0
+                growth = growth if growth < 5.0 else 5.0
                 clipped = h_try < h
-                grown = (h_try if clipped else h) * _growth_factor(err)
-                if clipped:
+                grown = (h_try if clipped else h) * growth
+                if clipped and h > grown:
                     # End-of-interval clipping must not shrink future steps.
-                    grown = max(grown, h)
-                self.h = min(opts.h_max, max(opts.h_min, grown))
+                    grown = h
+                grown = grown if grown > opts.h_min else opts.h_min
+                self.h = grown if grown < opts.h_max else opts.h_max
                 self.t = t0 + h_try
                 self.y = y_new
                 self._k1 = k7
@@ -308,7 +360,9 @@ class DopriDriver:
                 raise StepUnderflowError(
                     f"step underflow at t = {t0} (scaled error {err:.3g} at h_min)"
                 )
-            h = max(opts.h_min, h_try * max(0.1, 0.9 * err ** -0.2))
+            shrink = 0.9 * err**-0.2
+            h = h_try * (shrink if shrink > 0.1 else 0.1)
+            h = h if h > opts.h_min else opts.h_min
 
 
 def _dense_output(t0, y0, t1, y1, k):
@@ -469,7 +523,7 @@ def refine_event(
     dense = _dense_output(t0, y0, t1, y1, (k1, *stages))
     tol = time_tol * max(1.0, abs(t0), abs(t1))
     t_est = _illinois(lambda t: g_of_y(dense(t)), t0, g0, t1, g1, tol, max_iter)
-    attempt = _attempt_kernel(len(y0))
+    attempt = getattr(field, "attempt", None) or _attempt_kernel(len(y0))
 
     def reintegrate(t):
         y = attempt(field, opts, y0, k1, t - t0)[0]

@@ -134,13 +134,18 @@ def outcome_to_dict(out: DetectionOutcome) -> dict:
     }
 
 
+def _strict(value):
+    """value with every non-finite float, nested ones too, replaced by None."""
+    if isinstance(value, dict):
+        return {k: _strict(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_strict(v) for v in value]
+    return None if isinstance(value, float) and not math.isfinite(value) else value
+
+
 def _json_grid(result: ScanResult, attr: str) -> list:
     """One float field per cell; a non-finite value is written as null."""
-
-    def value(x):
-        return x if x is None or math.isfinite(x) else None
-
-    return [[value(getattr(out, attr)) for out in row] for row in result.cells]
+    return [[_strict(getattr(out, attr)) for out in row] for row in result.cells]
 
 
 def scan_json_text(result: ScanResult, prov: dict) -> str:
@@ -176,15 +181,16 @@ def scan_json_text(result: ScanResult, prov: dict) -> str:
 
 
 def outcomes_json_text(command: str, items: list, prov: dict) -> str:
+    """Envelope of per-seed results; strict JSON, non-finite floats as null."""
     return json.dumps(
         {
             "format": f"toruscan.{command}.v1",
             "version": prov["version"],
             "config_hash": prov["config_hash"],
             "config_text": prov["config_text"],
-            "results": items,
+            "results": _strict(items),
         },
-        allow_nan=True,
+        allow_nan=False,
     )
 
 

@@ -23,8 +23,6 @@ import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 
-import numpy as np
-
 from . import __version__
 from .detector import (
     Classification,
@@ -47,14 +45,8 @@ __all__ = [
     "ScanResult",
     "plane_point",
     "run_scan",
-    "q_heatmap",
     "assemble_overlays",
 ]
-
-Q_UNDETERMINED = -1.0
-Q_SINGULAR = -2.0
-Q_COLLISION = -3.0
-Q_ESCAPE = -4.0
 
 
 @dataclass(frozen=True)
@@ -230,48 +222,33 @@ def run_scan(
     return ScanResult(spec=spec, cells=cells, metadata=metadata)
 
 
-def q_heatmap(result: ScanResult) -> np.ndarray:
-    """q per Nonexistence cell; negative sentinels elsewhere.
-
-    Sentinels: -1 undetermined, -2 singular seed, -3 collision, -4 escape.
-    """
-    spec = result.spec
-    grid = np.empty((spec.n_r, spec.n_L), dtype=float)
-    sentinel = {
-        Classification.UNDETERMINED: Q_UNDETERMINED,
-        Classification.SINGULAR_SEED: Q_SINGULAR,
-        Classification.COLLISION: Q_COLLISION,
-        Classification.ESCAPE: Q_ESCAPE,
-    }
-    for i, row in enumerate(result.cells):
-        for j, out in enumerate(row):
-            if out.classification is Classification.NONEXISTENCE:
-                grid[i, j] = out.q
-            else:
-                grid[i, j] = sentinel[out.classification]
-    return grid
+def linspace(start: float, stop: float, n: int) -> list[float]:
+    """n evenly spaced floats from start to stop, as numpy.linspace gives them."""
+    start, stop = float(start), float(stop)
+    if n < 2:
+        return [start][:n]
+    step = (stop - start) / (n - 1)
+    return [i * step + start for i in range(n - 1)] + [stop]
 
 
 def _boundary_curves(label, f_of_r, r_lo, r_hi, n):
-    rs = np.linspace(r_lo, r_hi, n)
     upper = Curve(f"{label}(+)")
     lower = Curve(f"{label}(-)")
-    for r in rs:
-        L = math.sqrt(f_of_r(float(r)))
-        upper.points.append((float(r), L))
-        lower.points.append((float(r), -L))
+    for r in linspace(r_lo, r_hi, n):
+        L = math.sqrt(f_of_r(r))
+        upper.points.append((r, L))
+        lower.points.append((r, -L))
     return [upper, lower]
 
 
 def _singularity_contour(spec: PlaneSeedSpec, n: int) -> list[Curve]:
     """Trace L = +-sqrt(r^3 f(r, 0)) where defined, split at gaps/poles."""
     curves = []
-    rs = np.linspace(spec.r_min, spec.r_max, n)
+    rs = linspace(spec.r_min, spec.r_max, n)
     for sign, tag in ((1.0, "+"), (-1.0, "-")):
         run: list = []
         segments = []
         for r in rs:
-            r = float(r)
             try:
                 l_sq = r**3 * singularity_function(r, 0.0, spec.mu, spec.plane)
             except ValueError:

@@ -254,16 +254,27 @@ class TestFlags:
         assert flags == expected
 
 
+def run_python(*args):
+    # The child imports the package under test, installed or not.
+    src = str(Path(toruscan.__file__).parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, *args],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": path},
+    )
+
+
 class TestEntryPoint:
     def test_module_invocation(self):
-        # The child imports the package under test, installed or not.
-        src = str(Path(toruscan.__file__).parents[1])
-        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-        proc = subprocess.run(
-            [sys.executable, "-m", "toruscan.cli", "--version"],
-            capture_output=True,
-            text=True,
-            env={**os.environ, "PYTHONPATH": path},
-        )
+        proc = run_python("-m", "toruscan.cli", "--version")
         assert proc.returncode == 0
         assert proc.stdout.strip() == "0.1.0"
+
+    def test_import_does_not_load_numpy(self):
+        proc = run_python(
+            "-c", "import sys, toruscan.cli; print('numpy' in sys.modules)"
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "False"

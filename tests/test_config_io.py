@@ -19,12 +19,14 @@ from toruscan.config import (
     to_detector_config,
     to_plane_spec,
 )
-from toruscan.detector import DetectorConfig, Formulation
+from toruscan.detector import DetectorConfig, Formulation, _singular_outcome
 from toruscan.foliation import Plane
 from toruscan.integrate import IntegratorOptions
 from toruscan.output import (
     curves_csv_text,
     encode_png,
+    outcome_to_dict,
+    outcomes_json_text,
     scan_csv_text,
     scan_json_text,
     scan_png_bytes,
@@ -175,6 +177,21 @@ class TestOutputs:
         data = json.loads(text, parse_constant=reject)
         assert data["C"][1] == [None, None]
         assert data["C"][0] == [out.C for out in res.cells[0]]
+
+    def test_outcomes_json_is_strict_with_null_for_non_finite_values(self):
+        # A seed on a body has no state: its SingularSeed outcome has C = NaN.
+        out = _singular_outcome(None, 0.1, "body")
+        assert math.isnan(out.C)
+        item = {"r": 0.9, "L": 0.5, **outcome_to_dict(out)}
+        text = outcomes_json_text("detect", [item], provenance(RunConfig()))
+
+        def reject(token):
+            raise ValueError(f"non-standard JSON constant {token}")
+
+        (result,) = json.loads(text, parse_constant=reject)["results"]
+        assert result["classification"] == "SingularSeed"
+        assert result["C"] is None
+        assert result["diagnostics"] == {"reason": "body"}
 
     def test_csv_provenance_comments_are_rerunnable(self):
         res = small_scan()

@@ -97,14 +97,148 @@ class TestAttemptKernel:
             assert kernel(field, opts, y, k1, h) == _attempt(field, opts, y, k1, h)
 
     def test_driver_steps_with_kernel_and_matches_reference_trajectory(self):
+        # A field compiled from a formula source steps with its fused kernel.
         y0 = (1.3, 0.0, 0.0, -0.4, 1.0, 0.0, 0.0, 0.0)
         fast = DopriDriver(joint_field(0.1), IntegratorOptions()).reset(0.0, y0)
-        assert fast._attempt is _attempt_kernel(8)
+        assert fast._attempt is joint_field(0.1).attempt
         slow = DopriDriver(joint_field(0.1), IntegratorOptions()).reset(0.0, y0)
         slow._attempt = _attempt
         for _ in range(200):
             assert fast.step(50.0) == slow.step(50.0)
             assert fast.h == slow.h
+
+
+# The four formula sources: flow and joint fields, each at mu > 0 and mu = 0.
+SOURCES = [
+    pytest.param(factory, mu, id=f"{factory.__name__}-mu{mu}")
+    for factory in (flow_field, joint_field)
+    for mu in (0.1, 0.0)
+]
+
+
+class TestFusedKernel:
+    """Each field's inlined kernel against the reference _attempt."""
+
+    @pytest.mark.parametrize("factory, mu", SOURCES)
+    @pytest.mark.parametrize(
+        "opts",
+        [IntegratorOptions(), IntegratorOptions(fixed_step=True)],
+        ids=["adaptive", "fixed-step"],
+    )
+    def test_bit_identical_to_reference(self, factory, mu, opts):
+        field = factory(mu)
+        n = 4 if factory is flow_field else 8
+        rng = random.Random(20240817 + n + int(10 * mu))
+        for _ in range(200):
+            y = tuple(rng.uniform(-2.0, 2.0) for _ in range(n))
+            h = rng.uniform(1e-5, 1e-1)
+            k1 = field(y)
+            fused = field.attempt(field, opts, y, k1, h)
+            assert fused == _attempt(field, opts, y, k1, h)
+            assert fused == _attempt_kernel(n)(field, opts, y, k1, h)
+
+    @pytest.mark.parametrize("factory, mu", SOURCES)
+    def test_driver_trajectory_matches_reference(self, factory, mu):
+        y0 = (1.3, 0.0, 0.0, -0.4, 1.0, 0.0, 0.0, 0.0)
+        y0 = y0[:4] if factory is flow_field else y0
+        fast = DopriDriver(factory(mu), IntegratorOptions()).reset(0.0, y0)
+        slow = DopriDriver(factory(mu), IntegratorOptions()).reset(0.0, y0)
+        slow._attempt = _attempt
+        for _ in range(200):
+            assert fast.step(50.0) == slow.step(50.0)
+            assert fast.h == slow.h
+
+    def test_counting_wrapper_steps_through_call_through_kernel(self):
+        # A field wrapped the way a tracer wraps it has no fused kernel; its
+        # trajectory is the fused one and it is called 6 times per attempt,
+        # plus once for the first step's derivative.
+        field = joint_field(0.1)
+        calls = [0]
+
+        def counted(y):
+            calls[0] += 1
+            return field(y)
+
+        y0 = (1.3, 0.0, 0.0, -0.4, 1.0, 0.0, 0.0, 0.0)
+        opts = IntegratorOptions()
+        fused = DopriDriver(field, opts).reset(0.0, y0, h=0.1)
+        wrapped = DopriDriver(counted, opts).reset(0.0, y0, h=0.1)
+        assert wrapped._attempt is _attempt_kernel(8)
+        attempts = [0]
+        kernel = wrapped._attempt
+
+        def counting_kernel(*args):
+            attempts[0] += 1
+            return kernel(*args)
+
+        wrapped._attempt = counting_kernel
+        for _ in range(200):
+            assert wrapped.step(50.0) == fused.step(50.0)
+            assert wrapped.h == fused.h
+        assert attempts[0] > 200  # the trajectory has rejected attempts
+        assert calls[0] == 6 * attempts[0] + 1
+
+
+def reference_controller(opts, h, rest, errs):
+    """(h of each attempt, next step's h) by the min/max step controller."""
+    tried = []
+    for err in errs:
+        h_try = min(h, rest)
+        tried.append(h_try)
+        if err <= 1.0:
+            clipped = h_try < h
+            growth = 5.0 if err == 0.0 else min(5.0, max(0.2, 0.9 * err**-0.2))
+            grown = (h_try if clipped else h) * growth
+            if clipped:
+                grown = max(grown, h)
+            return tried, min(opts.h_max, max(opts.h_min, grown))
+        if h_try <= opts.h_min:
+            return tried, None
+        h = max(opts.h_min, h_try * max(0.1, 0.9 * err**-0.2))
+    raise AssertionError("scripted errors ran out")
+
+
+class TestStepController:
+    """DopriDriver.step's plain comparisons against builtin min and max."""
+
+    @pytest.mark.parametrize(
+        "opts, h, t_limit, errs",
+        [
+            (IntegratorOptions(), 0.01, 1.0, [0.0]),
+            (IntegratorOptions(), 0.01, 1.0, [1e-30]),  # growth capped at 5
+            (IntegratorOptions(), 0.01, 1.0, [1.0]),
+            (IntegratorOptions(), 0.01, 1.0, [0.37]),
+            (IntegratorOptions(), 0.05, 1.0, [0.0]),  # capped at h_max
+            (IntegratorOptions(), 0.01, 1.0, [math.nan, 0.5]),
+            (IntegratorOptions(), 0.01, 1.0, [1e12, 2.0, 0.5]),  # 0.1 floor
+            (IntegratorOptions(), 0.05, 0.01, [0.9]),  # clipped last step
+            (IntegratorOptions(), 0.05, 0.01, [0.0]),
+            (IntegratorOptions(), 0.05, 0.05, [0.3]),  # not clipped: rest == h
+            (IntegratorOptions(), 0.05, 0.01, [1e6, 0.2]),
+            (IntegratorOptions(h_min=1e-6, h_init=1e-6), 2e-6, 1.0, [1e6, 0.5]),
+            (IntegratorOptions(h_min=1e-6, h_init=1e-6), 1e-6, 1.0, [0.99]),
+            (IntegratorOptions(h_min=1e-6, h_init=1e-6), 2e-6, 1.0, [1e6, 1e6]),
+        ],
+    )
+    def test_matches_min_max_controller(self, opts, h, t_limit, errs):
+        tried = []
+        scripted = iter(errs)
+
+        def attempt(field, opts, y, k1, h_try):
+            tried.append(h_try)
+            return y, k1, next(scripted)
+
+        drv = DopriDriver(lambda y: (0.0,), opts).reset(0.0, (1.0,), h=h)
+        drv._attempt = attempt
+        expected_tried, expected_h = reference_controller(opts, h, t_limit, errs)
+        if expected_h is None:
+            with pytest.raises(StepUnderflowError):
+                drv.step(t_limit)
+        else:
+            drv.step(t_limit)
+            assert drv.h == expected_h
+            assert drv.t == tried[-1]
+        assert tried == expected_tried
 
 
 class TestRefinement:

@@ -1,7 +1,6 @@
 import math
 import warnings
 
-import numpy as np
 import pytest
 
 import toruscan.scan as scan
@@ -14,7 +13,6 @@ from toruscan.scan import (
     _classify_cell,
     assemble_overlays,
     plane_point,
-    q_heatmap,
     run_scan,
 )
 from toruscan.unperturbed import torus_region_contains
@@ -207,28 +205,6 @@ class TestBothFormulation:
             both.cells[i][j].diagnostics.get("general") == "SingularSeed"
             for i, j in ne_sym
         )
-
-
-class TestQHeatmap:
-    def test_values_and_sentinels(self):
-        spec = PlaneSeedSpec(Plane.THETA0, 0.5, 3.5, 6, -1.8, 1.8, 6, 0.1)
-        res = run_scan(spec, DetectorConfig(t_out=10.0))
-        grid = q_heatmap(res)
-        assert grid.shape == (6, 6)
-        for i in range(6):
-            for j in range(6):
-                out = res.cells[i][j]
-                if out.classification is Classification.NONEXISTENCE:
-                    assert grid[i, j] == pytest.approx(out.t_detect / 10.0)
-                    assert 0.0 < grid[i, j] <= 1.0
-                elif out.classification is Classification.UNDETERMINED:
-                    assert grid[i, j] == -1.0
-                elif out.classification is Classification.SINGULAR_SEED:
-                    assert grid[i, j] == -2.0
-                elif out.classification is Classification.COLLISION:
-                    assert grid[i, j] == -3.0
-                else:
-                    assert grid[i, j] == -4.0
 
 
 class TestOverlays:
