@@ -127,36 +127,24 @@ def _cmd_scan(cfg: RunConfig) -> int:
     return 0
 
 
-def _seed_results(cfg: RunConfig, runner) -> list:
-    spec_plane = to_plane_spec(cfg).plane
-    items = []
-    for r, L in cfg.seeds:
-        seed = plane_point(spec_plane, r, L, cfg.mu)
-        out = runner(seed)
-        item = {"r": r, "L": L, "state": list(seed)}
-        item.update(outcome_to_dict(out))
-        items.append(item)
-    return items
-
-
 def _emit_results(cfg: RunConfig, items: list) -> int:
     text = outcomes_json_text(cfg.command, items, provenance(cfg)) + "\n"
     _emit(text, cfg.out + ".json" if cfg.out else None)
     return 0
 
 
-def _cmd_detect(cfg: RunConfig) -> int:
+def _cmd_seeds(cfg: RunConfig) -> int:
+    """detect or lyapunov: one outcome per configured seed."""
     dcfg = to_detector_config(cfg)
-    return _emit_results(
-        cfg, _seed_results(cfg, lambda s: run_detector(s, cfg.mu, dcfg))
-    )
-
-
-def _cmd_lyapunov(cfg: RunConfig) -> int:
-    dcfg = to_detector_config(cfg)
-    return _emit_results(
-        cfg, _seed_results(cfg, lambda s: lyapunov_estimate(s, cfg.mu, dcfg))
-    )
+    runner = run_detector if cfg.command == "detect" else lyapunov_estimate
+    plane = to_plane_spec(cfg).plane
+    items = []
+    for r, L in cfg.seeds:
+        seed = plane_point(plane, r, L, cfg.mu)
+        item = {"r": r, "L": L, "state": list(seed)}
+        item.update(outcome_to_dict(runner(seed, cfg.mu, dcfg)))
+        items.append(item)
+    return _emit_results(cfg, items)
 
 
 def _cmd_section(cfg: RunConfig) -> int:
@@ -209,11 +197,11 @@ def _cmd_overlays(cfg: RunConfig) -> int:
 
 _HANDLERS = {
     "scan": _cmd_scan,
-    "detect": _cmd_detect,
+    "detect": _cmd_seeds,
     "section": _cmd_section,
     "pendulum": _cmd_pendulum,
     "overlays": _cmd_overlays,
-    "lyapunov": _cmd_lyapunov,
+    "lyapunov": _cmd_seeds,
 }
 
 

@@ -330,13 +330,6 @@ def to_detector_config(cfg: RunConfig) -> DetectorConfig:
 
 
 def to_plane_spec(cfg: RunConfig) -> PlaneSeedSpec:
-    return PlaneSeedSpec(
-        plane=Plane(cfg.plane),
-        r_min=cfg.r_min,
-        r_max=cfg.r_max,
-        n_r=cfg.n_r,
-        L_min=cfg.L_min,
-        L_max=cfg.L_max,
-        n_L=cfg.n_L,
-        mu=cfg.mu,
-    )
+    values = {f.name: getattr(cfg, f.name) for f in fields(PlaneSeedSpec)}
+    values["plane"] = Plane(cfg.plane)
+    return PlaneSeedSpec(**values)

@@ -16,12 +16,15 @@ the class passes through the seed.  Concretely:
   lambda test.  This variant also fires where xi is parallel to V, which the
   general one deliberately does not.
 
+The g monitor is compiled from the potential gradient statements that
+``dynamics`` writes once for its fields (``integrate.make_function``).
 Runs are pure functions of (seed, configuration) and safe to execute in
 parallel.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field as dc_field, replace
 from enum import Enum
@@ -29,6 +32,10 @@ from typing import Callable, NamedTuple
 
 from . import foliation
 from .dynamics import (
+    _GRADIENT,
+    _GRADIENT0,
+    _STATE,
+    _TANGENT,
     State,
     TangentVector,
     jacobi_constant,
@@ -38,8 +45,10 @@ from .dynamics import (
 )
 from .integrate import (
     DopriDriver,
+    FieldSource,
     IntegratorOptions,
     StepUnderflowError,
+    make_function,
     refine_event,
 )
 
@@ -63,6 +72,8 @@ _PLANE_TOL = 1e-9
 # |xi| / |grad L| is a few rel_tol (circular mu = 0 orbits: up to 5 rel_tol
 # by t = 200).  The factor leaves room for that drift.
 _XI_FLOOR = 1e3
+# g is live (it arms and can change sign) where |g| > _ARMING_REL * |eta||xi|.
+_ARMING_REL = 1e-12
 
 
 class Classification(str, Enum):
@@ -87,9 +98,6 @@ class DetectorConfig:
     formulation: Formulation = Formulation.GENERAL
     integrator: IntegratorOptions = dc_field(default_factory=IntegratorOptions)
     compute_lyapunov: bool = False
-    arming_rel: float = 1e-12
-    refine_time_tol: float = 1e-11
-    degeneracy_tol: float = 1e-8
 
     def __post_init__(self):
         if self.t_out <= 0.0:
@@ -133,53 +141,36 @@ def antisymmetric_tangent(s0: State, mu: float) -> TangentVector:
     return TangentVector(0.0, -v.dvx / n, v.dy / n, 0.0)
 
 
-def _make_g_monitor(
-    mu: float, opts: IntegratorOptions
-) -> Callable[[tuple], tuple[float, float]]:
-    """g = omega(eta, xi(s)) and the homogeneity scale |eta||xi|.
+# g = omega(eta, xi(s)) and the homogeneity scale |eta||xi|, after the
+# potential gradient (ux, uy).  Both are 0 (never live) where xi is
+# unresolved: grad H vanishes, or grad L is parallel to it to within the
+# integration's accuracy (floor_sq).
+_G_LINES = (
+    "gh2 = ux * ux + uy * uy + vx * vx + vy * vy",
+    "if gh2 < 1e-28:",
+    "    return 0.0, 0.0",
+    "glx, gly, glvx, glvy = vy + 2.0 * x, -vx + 2.0 * yy, -yy, x",
+    "a = (glx * ux + gly * uy + glvx * vx + glvy * vy) / gh2",
+    "xix, xiy, xivx, xivy = glx - a * ux, gly - a * uy, glvx - a * vx, glvy - a * vy",
+    "xi2 = xix * xix + xiy * xiy + xivx * xivx + xivy * xivy",
+    "if xi2 <= floor_sq * (glx * glx + gly * gly + glvx * glvx + glvy * glvy):",
+    "    return 0.0, 0.0",
+    "g = ex * xivx - evx * xix + ey * xivy - evy * xiy - 2.0 * (ex * xiy - ey * xix)",
+    "scale = sqrt((ex * ex + ey * ey + evx * evx + evy * evy) * xi2)",
+)
 
-    Both are 0 (never live) where xi is unresolved: grad H vanishes, or
-    grad L is parallel to it to within the integration's accuracy.
-    """
-    om = 1.0 - mu
-    floor_sq = (_XI_FLOOR * opts.rel_tol) ** 2
 
-    def g_fn(y):
-        x, yy, vx, vy, ex, ey, evx, evy = y
-        dx1 = x + mu
-        r1s = dx1 * dx1 + yy * yy
-        ir13 = 1.0 / (r1s * math.sqrt(r1s))
-        ux = -x + om * dx1 * ir13
-        uy = -yy + om * yy * ir13
-        if mu > 0.0:
-            dx2 = x - om
-            r2s = dx2 * dx2 + yy * yy
-            ir23 = 1.0 / (r2s * math.sqrt(r2s))
-            ux += mu * dx2 * ir23
-            uy += mu * yy * ir23
-        gh2 = ux * ux + uy * uy + vx * vx + vy * vy
-        if gh2 < 1e-28:
-            return 0.0, 0.0
-        glx, gly, glvx, glvy = vy + 2.0 * x, -vx + 2.0 * yy, -yy, x
-        a = (glx * ux + gly * uy + glvx * vx + glvy * vy) / gh2
-        xix = glx - a * ux
-        xiy = gly - a * uy
-        xivx = glvx - a * vx
-        xivy = glvy - a * vy
-        xi2 = xix * xix + xiy * xiy + xivx * xivx + xivy * xivy
-        if xi2 <= floor_sq * (glx * glx + gly * gly + glvx * glvx + glvy * glvy):
-            return 0.0, 0.0
-        g = (
-            ex * xivx
-            - evx * xix
-            + ey * xivy
-            - evy * xiy
-            - 2.0 * (ex * xiy - ey * xix)
-        )
-        scale = math.sqrt((ex * ex + ey * ey + evx * evx + evy * evy) * xi2)
-        return g, scale
-
-    return g_fn
+@functools.cache
+def _g_monitor(mu: float, rel_tol: float) -> Callable[[tuple], tuple[float, float]]:
+    """(g, scale) of a joint state, compiled once per (mu, rel_tol)."""
+    body = (_GRADIENT0 if mu == 0.0 else _GRADIENT) + _G_LINES
+    return make_function(
+        FieldSource(_STATE + _TANGENT, body, ("g", "scale")),
+        f"g monitor, mu={mu!r}",
+        mu=mu,
+        om=1.0 - mu,
+        floor_sq=(_XI_FLOOR * rel_tol) ** 2,
+    )
 
 
 def _make_lambda_qualifier(mu: float) -> Callable[[tuple], bool]:
@@ -257,26 +248,23 @@ class MonitorResult(NamedTuple):
     truncation: str | None
 
 
-def _tangent_norm(y, state_dim):
-    return math.sqrt(sum(c * c for c in y[state_dim:]))
-
-
 def monitor_run(
     field,
     y0: tuple,
     t_out: float,
     opts: IntegratorOptions,
     *,
-    state_dim: int,
     g_fn=None,
     qualify_fn=None,
     guard_fn=None,
     want_lyapunov: bool = False,
-    arming_rel: float = 1e-12,
-    refine_time_tol: float = 1e-11,
 ) -> MonitorResult:
     """Shared detection loop: integrate, watch sign changes, refine, qualify.
 
+    y0 is a state followed by a tangent of the same length.  g_fn maps a
+    joint state to (g, scale); g is live where |g| > _ARMING_REL * scale,
+    and a live sign change against the last live sign is an event, located
+    by refine_event and counted as a detection if qualify_fn accepts it.
     Returns the status, detection time, event count, reached time and the
     Lyapunov estimate when requested.
 
@@ -285,13 +273,12 @@ def monitor_run(
     Lyapunov estimate is a ratio, so outcomes are unchanged while the step
     sequence becomes independent of the seed tangent's magnitude.
     """
-    eta0_norm = _tangent_norm(y0, state_dim)
-    if state_dim < len(y0):
-        if eta0_norm <= 0.0:
-            raise ValueError("seed tangent must be nonzero")
-        inv = 1.0 / eta0_norm
-        y0 = y0[:state_dim] + tuple(c * inv for c in y0[state_dim:])
-        eta0_norm = 1.0
+    n = len(y0) // 2
+    eta0_norm = _tangent_norm(y0, n)
+    if eta0_norm <= 0.0:
+        raise ValueError("seed tangent must be nonzero")
+    inv = 1.0 / eta0_norm
+    y0 = y0[:n] + tuple(c * inv for c in y0[n:])
     drv = DopriDriver(field, opts).reset(0.0, y0)
     log_accum = 0.0
     n_events = 0
@@ -299,13 +286,13 @@ def monitor_run(
     status = "timeout"
     detection_done = g_fn is None
     thresh_sq = opts.renorm_threshold * opts.renorm_threshold
-    joint = state_dim == 4 and len(y0) == 8  # sums |eta|^2 as the loop below
+    joint = n == 4  # sums |eta|^2 as the loop below
 
     armed = 0
     armed_t, armed_y = 0.0, y0
     if g_fn is not None:
         g0, scale0 = g_fn(y0)
-        if scale0 > 0.0 and abs(g0) > arming_rel * scale0:
+        if scale0 > 0.0 and abs(g0) > _ARMING_REL * scale0:
             armed = 1 if g0 > 0.0 else -1
 
     def g_value(y):
@@ -331,19 +318,11 @@ def monitor_run(
                 break
         if not detection_done:
             g_new, scale_new = g_fn(y1)
-            live = scale_new > 0.0 and abs(g_new) > arming_rel * scale_new
+            live = scale_new > 0.0 and abs(g_new) > _ARMING_REL * scale_new
             if live and armed != 0 and (g_new > 0.0) != (armed > 0):
                 n_events += 1
                 t_star, y_star = refine_event(
-                    field,
-                    opts,
-                    armed_t,
-                    armed_y,
-                    t1,
-                    g_value,
-                    1.0 * armed,
-                    g_new,
-                    time_tol=refine_time_tol,
+                    field, opts, armed_t, armed_y, t1, g_value
                 )
                 if qualify_fn is None or qualify_fn(y_star):
                     t_detect = t_star
@@ -354,39 +333,43 @@ def monitor_run(
             if live:
                 armed = 1 if g_new > 0.0 else -1
                 armed_t, armed_y = t1, y1
-        if state_dim < len(y1):
-            if joint:
-                _, _, _, _, a, b, c, d = y1
-                tn_sq = 0.0 + a * a + b * b + c * c + d * d
-            else:
-                tn_sq = 0.0
-                for c in y1[state_dim:]:
-                    tn_sq += c * c
-            if tn_sq > thresh_sq:
-                norm = math.sqrt(tn_sq)
-                inv = 1.0 / norm
-                y_scaled = y1[:state_dim] + tuple(c * inv for c in y1[state_dim:])
-                log_accum += math.log(norm)
-                drv.y = y_scaled
-                k1 = drv._k1
-                if k1 is not None:
-                    drv._k1 = k1[:state_dim] + tuple(c * inv for c in k1[state_dim:])
-                if armed_t == t1:
-                    armed_y = y_scaled
+        if joint:
+            _, _, _, _, a, b, c, d = y1
+            tn_sq = 0.0 + a * a + b * b + c * c + d * d
+        else:
+            tn_sq = 0.0
+            for c in y1[n:]:
+                tn_sq += c * c
+        if tn_sq > thresh_sq:
+            norm = math.sqrt(tn_sq)
+            inv = 1.0 / norm
+            y_scaled = y1[:n] + tuple(c * inv for c in y1[n:])
+            log_accum += math.log(norm)
+            drv.y = y_scaled
+            k1 = drv._k1
+            if k1 is not None:
+                drv._k1 = k1[:n] + tuple(c * inv for c in k1[n:])
+            if armed_t == t1:
+                armed_y = y_scaled
 
     lyap = None
     if want_lyapunov:
-        lyap = _final_lyapunov(drv.y, state_dim, log_accum, eta0_norm, drv.t)
+        lyap = _final_lyapunov(drv.y, n, log_accum, drv.t)
     return MonitorResult(status, t_detect, n_events, drv.t, lyap, detail, truncation)
 
 
-def _final_lyapunov(y_end, state_dim, log_accum, eta0_norm, t_end):
-    if t_end <= 0.0 or eta0_norm <= 0.0:
+def _tangent_norm(y, n):
+    return math.sqrt(sum(c * c for c in y[n:]))
+
+
+def _final_lyapunov(y_end, n, log_accum, t_end):
+    """(removed log norms + log|eta(t_end)|) / t_end; |eta(0)| is 1."""
+    if t_end <= 0.0:
         return None
-    end_norm = _tangent_norm(y_end, state_dim)
+    end_norm = _tangent_norm(y_end, n)
     if end_norm <= 0.0:
         return None
-    return (log_accum + math.log(end_norm) - math.log(eta0_norm)) / t_end
+    return (log_accum + math.log(end_norm)) / t_end
 
 
 def _singular_outcome(s0, mu, reason) -> DetectionOutcome:
@@ -438,6 +421,25 @@ def _build_outcome(
     )
 
 
+def _joint_run(s0, mu, cfg, eta0, *, detect, qualify_fn=None, extra=None):
+    """monitor_run of the joint system from (s0, eta0) under cfg.
+
+    With detect the g monitor watches for events and the Lyapunov estimate
+    follows cfg; without it the run only estimates the Lyapunov exponent.
+    """
+    raw = monitor_run(
+        joint_field(mu),
+        tuple(s0) + tuple(eta0),
+        cfg.t_out,
+        cfg.integrator,
+        g_fn=_g_monitor(mu, cfg.integrator.rel_tol) if detect else None,
+        qualify_fn=qualify_fn,
+        guard_fn=_make_guard(mu, cfg.integrator),
+        want_lyapunov=cfg.compute_lyapunov or not detect,
+    )
+    return _build_outcome(raw, jacobi_constant(s0, mu), cfg.t_out, extra)
+
+
 def run_general(
     s0: State,
     mu: float,
@@ -452,7 +454,7 @@ def run_general(
     counted but not terminal.
     """
     validate_mass_ratio(mu)
-    degenerate, reason = foliation.is_degenerate(s0, mu, tol=cfg.degeneracy_tol)
+    degenerate, reason = foliation.is_degenerate(s0, mu)
     if degenerate:
         return _singular_outcome(s0, mu, reason)
     fol = foliation.evaluate(s0, mu)
@@ -463,20 +465,8 @@ def run_general(
         # xi parallel to V at the seed: nonexistence of transverse tori is
         # automatic there but the lambda test cannot certify it.
         extra["seed_xi_parallel_v"] = True
-    raw = monitor_run(
-        joint_field(mu),
-        tuple(s0) + tuple(eta0),
-        cfg.t_out,
-        cfg.integrator,
-        state_dim=4,
-        g_fn=_make_g_monitor(mu, cfg.integrator),
-        qualify_fn=_make_lambda_qualifier(mu),
-        guard_fn=_make_guard(mu, cfg.integrator),
-        want_lyapunov=cfg.compute_lyapunov,
-        arming_rel=cfg.arming_rel,
-        refine_time_tol=cfg.refine_time_tol,
-    )
-    return _build_outcome(raw, jacobi_constant(s0, mu), cfg.t_out, extra)
+    qualify = _make_lambda_qualifier(mu)
+    return _joint_run(s0, mu, cfg, eta0, detect=True, qualify_fn=qualify, extra=extra)
 
 
 def run_symmetric(
@@ -497,20 +487,7 @@ def run_symmetric(
             eta0 = antisymmetric_tangent(s0, mu)
         except foliation.SingularPointError:
             return _singular_outcome(s0, mu, "equilibrium")
-    raw = monitor_run(
-        joint_field(mu),
-        tuple(s0) + tuple(eta0),
-        cfg.t_out,
-        cfg.integrator,
-        state_dim=4,
-        g_fn=_make_g_monitor(mu, cfg.integrator),
-        qualify_fn=None,
-        guard_fn=_make_guard(mu, cfg.integrator),
-        want_lyapunov=cfg.compute_lyapunov,
-        arming_rel=cfg.arming_rel,
-        refine_time_tol=cfg.refine_time_tol,
-    )
-    return _build_outcome(raw, jacobi_constant(s0, mu), cfg.t_out)
+    return _joint_run(s0, mu, cfg, eta0, detect=True)
 
 
 def run_both(s0: State, mu: float, cfg: DetectorConfig) -> DetectionOutcome:
@@ -552,23 +529,12 @@ def lyapunov_estimate(
     reported through the classification and reached time in diagnostics.
     """
     validate_mass_ratio(mu)
-    degenerate, reason = foliation.is_degenerate(s0, mu, tol=cfg.degeneracy_tol)
+    degenerate, reason = foliation.is_degenerate(s0, mu)
     if degenerate:
         return _singular_outcome(s0, mu, reason)
     if eta0 is None:
         eta0 = foliation.evaluate(s0, mu).xi
-    raw = monitor_run(
-        joint_field(mu),
-        tuple(s0) + tuple(eta0),
-        cfg.t_out,
-        cfg.integrator,
-        state_dim=4,
-        g_fn=None,
-        guard_fn=_make_guard(mu, cfg.integrator),
-        want_lyapunov=True,
-        arming_rel=cfg.arming_rel,
-    )
-    return _build_outcome(raw, jacobi_constant(s0, mu), cfg.t_out)
+    return _joint_run(s0, mu, cfg, eta0, detect=False)
 
 
 def run(s0: State, mu: float, cfg: DetectorConfig) -> DetectionOutcome:

@@ -3,14 +3,15 @@
 Units are nondimensional: total mass 1, primary-secondary distance 1, angular
 rate of the frame 1.  The primary (mass 1-mu) sits at (-mu, 0) and the
 secondary (mass mu) at (1-mu, 0).  The canonical internal representation is
-the velocity form (x, y, vx, vy); inertial momenta and polar canonical
-coordinates are converted on demand.
+the velocity form (x, y, vx, vy); polar canonical coordinates are converted
+on demand.
 
 The hot fields, ``flow_field`` and ``joint_field``, are each written once
 as a formula source and compiled into the callable and a DOPRI5 trial step
 with the body inlined (``integrate.make_field``); a wrapped field steps
-through the call-through kernel with the same results.  ``potential_gradient``
-and ``potential_hessian`` stay as the readable oracles.
+through the call-through kernel with the same results.  The detector's
+g monitor is compiled from the same gradient statements.
+``potential_gradient`` and ``potential_hessian`` stay as the readable oracles.
 
 The rotating-frame Hamiltonian is H = |v|^2/2 + U(x, y) with effective
 potential U = -(x^2+y^2)/2 - (1-mu)/r1 - mu/r2, and the symplectic form in
@@ -30,10 +31,8 @@ from .integrate import FieldSource, make_field
 __all__ = [
     "State",
     "TangentVector",
-    "Momenta",
     "PolarState",
     "validate_mass_ratio",
-    "body_distances",
     "effective_potential",
     "potential_gradient",
     "potential_hessian",
@@ -41,7 +40,6 @@ __all__ = [
     "jacobi_constant",
     "angular_momentum",
     "kepler_energy",
-    "momenta",
     "polar",
     "vector_field",
     "jacobian",
@@ -76,13 +74,6 @@ class TangentVector(NamedTuple):
     dvy: float
 
 
-class Momenta(NamedTuple):
-    """Inertial-frame momenta per unit mass: px = vx - y, py = vy + x."""
-
-    px: float
-    py: float
-
-
 class PolarState(NamedTuple):
     """Polar canonical coordinates (r, theta, p_r, p_theta)."""
 
@@ -104,13 +95,9 @@ def validate_mass_ratio(mu: float) -> float:
     return mu
 
 
-def body_distances(x: float, y: float, mu: float) -> tuple[float, float]:
-    """Distances (r1, r2) to primary and secondary."""
-    return math.hypot(x + mu, y), math.hypot(x - 1.0 + mu, y)
-
-
 def _check_off_bodies(x, y, mu):
-    r1, r2 = body_distances(x, y, mu)
+    """Distances (r1, r2) to primary and secondary, neither of them zero."""
+    r1, r2 = math.hypot(x + mu, y), math.hypot(x - 1.0 + mu, y)
     if r1 < _MIN_BODY_DISTANCE and 1.0 - mu > 0.0:
         raise ValueError(f"point ({x}, {y}) is at the primary")
     if r2 < _MIN_BODY_DISTANCE and mu > 0.0:
@@ -170,12 +157,6 @@ def hamiltonian(s: State, mu: float) -> float:
 def jacobi_constant(s: State, mu: float) -> float:
     """Jacobi constant C = -2H."""
     return -2.0 * hamiltonian(s, mu)
-
-
-def momenta(s: State) -> Momenta:
-    """Inertial momenta from the velocity representation."""
-    x, y, vx, vy = s
-    return Momenta(vx - y, vy + x)
 
 
 def angular_momentum(s: State) -> float:

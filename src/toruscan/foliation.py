@@ -88,11 +88,11 @@ def _reject(gl, w, w2):
     )
 
 
-def evaluate(s: State, mu: float, tol: float = _GRAD_TOL) -> FoliationEval:
+def evaluate(s: State, mu: float) -> FoliationEval:
     """Compute xi, the dual vector of lambda, and their invariants at s."""
     gh = grad_hamiltonian(s, mu)
     gh2 = _dot(gh, gh)
-    if gh2 <= tol * tol:
+    if gh2 <= _GRAD_TOL * _GRAD_TOL:
         raise SingularPointError(
             "foliation undefined where grad H vanishes (equilibrium point)"
         )
@@ -100,7 +100,7 @@ def evaluate(s: State, mu: float, tol: float = _GRAD_TOL) -> FoliationEval:
     xi, _ = _reject(gl, gh, gh2)
     v = vector_field(s, mu)
     v2 = _dot(v, v)
-    if v2 <= tol * tol:
+    if v2 <= _GRAD_TOL * _GRAD_TOL:
         raise SingularPointError("lambda undefined where the vector field vanishes")
     lam, _ = _reject(gl, v, v2)
     return FoliationEval(

@@ -6,12 +6,13 @@ alone and the pendulum oracle).  The driver supports:
 
 * adaptive steps with the usual error controller, plus a fixed-step mode for
   bit-reproducible runs;
-* location of sign changes of scalar observables between accepted steps:
-  the step holding the sign change is integrated again from its stored left
-  state, the root is found on that step's DOPRI5 continuous extension (the
-  stages it already computed, Hairer, Norsett & Wanner, Solving ODEs I,
-  II.6), and the root is polished on one-substep re-integrations from the
-  step's left state until it is bracketed to the time tolerance.
+* location of sign changes of scalar observables between accepted steps
+  (``refine_event``, given the left state and the right time): the step
+  holding the sign change is integrated again from its stored left state,
+  the root is found on that step's DOPRI5 continuous extension (the stages
+  it already computed, Hairer, Norsett & Wanner, Solving ODEs I, II.6), and
+  the root is polished on one-substep re-integrations from the step's left
+  state until it is bracketed to 1e-11 relative in time.
 
 One trial step has a readable reference, ``_attempt`` (generator
 expressions over the components, one per stage), and straight-line kernels
@@ -19,7 +20,8 @@ that one generator writes out from the tableau with either stage body: a
 call of the field (``_attempt_kernel(n)``, per state dimension, for any
 field) or the field's own body inlined at every stage (``make_field``
 compiles a field written once as a ``FieldSource`` into the callable and
-this kernel, as its ``.attempt``).  Every component expression of a kernel
+this kernel, as its ``.attempt``; ``make_function`` compiles the callable
+alone).  Every component expression of a kernel
 performs the reference's operations in the reference's order, so its
 ``(y_new, k7, err)`` equal the reference's bit for bit.  ``DopriDriver`` and
 ``refine_event``'s polish step with the field's ``.attempt`` when it has
@@ -38,9 +40,9 @@ from typing import Callable, NamedTuple, Sequence
 __all__ = [
     "IntegratorOptions",
     "StepUnderflowError",
-    "BracketError",
     "DopriDriver",
     "FieldSource",
+    "make_function",
     "make_field",
     "refine_event",
 ]
@@ -90,10 +92,6 @@ _D1, _D3, _D4, _D5, _D6, _D7 = (
 
 class StepUnderflowError(RuntimeError):
     """Step size fell below h_min without meeting the error tolerance."""
-
-
-class BracketError(ValueError):
-    """Sign-change refinement was called without a valid bracket."""
 
 
 @dataclass(frozen=True)
@@ -281,19 +279,28 @@ def _attempt_kernel(n: int):
     )
 
 
+def _literals(constants) -> list:
+    return [f"{name} = {float(value)!r}" for name, value in constants.items()]
+
+
+def make_function(source: FieldSource, label: str, **constants):
+    """Compile source into ``y -> outputs``, binding each constant to its
+    float literal on entry; the body may return early."""
+    inputs, outputs = ", ".join(source.inputs), ", ".join(source.outputs)
+    body = [f"{inputs} = y", *source.body, f"return ({outputs})"]
+    return _compile("function(y)", _literals(constants) + body, label)
+
+
 def make_field(source: FieldSource, label: str, **constants):
     """The callable field of source, carrying its fused kernel as ``.attempt``.
 
-    Both bind each constant to its float literal on entry.  The kernel is
-    _attempt with the field's body inlined at every stage.
+    The kernel is _attempt with the field's body inlined at every stage, and
+    binds the constants as make_function does.
     """
-    consts = [f"{name} = {float(value)!r}" for name, value in constants.items()]
-    inputs, outputs = ", ".join(source.inputs), ", ".join(source.outputs)
-    body = [*consts, f"{inputs} = y", *source.body, f"return ({outputs})"]
-    field = _compile("field(y)", body, label)
+    field = make_function(source, label, **constants)
     field.attempt = _compile(
         "attempt(field, opts, y, k1, h)",
-        consts + _kernel_lines(len(source.inputs), source),
+        _literals(constants) + _kernel_lines(len(source.inputs), source),
         f"{label}, fused attempt",
     )
     return field
@@ -404,11 +411,17 @@ def _dense_output(t0, y0, t1, y1, k):
     return at
 
 
-def _illinois(f, a, fa, b, fb, tol, max_iter):
+# Events are located in time to _TIME_TOL relative; either search gives up
+# after _MAX_ITER rounds.
+_TIME_TOL = 1e-11
+_MAX_ITER = 128
+
+
+def _illinois(f, a, fa, b, fb, tol):
     """Root of f on [a, b], fa and fb of opposite signs: Illinois regula falsi."""
     c = a
     side = 0
-    for _ in range(max_iter):
+    for _ in range(_MAX_ITER):
         c = a - fa * (b - a) / (fb - fa)
         if not a < c < b:
             break
@@ -430,8 +443,8 @@ def _illinois(f, a, fa, b, fb, tol, max_iter):
     return c
 
 
-def _polish(at, t_est, lo, hi, time_tol, max_iter):
-    """Bracket the root of g along at(t) -> (y, g) to time_tol*max(1, |t|).
+def _polish(at, t_est, lo, hi):
+    """Bracket the root of g along at(t) -> (y, g) to _TIME_TOL*max(1, |t|).
 
     lo and hi are (t, g, y) on either side of the root.  Each round tries
     the estimate's two neighbours half a tolerance away, then moves the
@@ -439,8 +452,8 @@ def _polish(at, t_est, lo, hi, time_tol, max_iter):
     final bracket's end with the smaller |g|.
     """
     (a, ga, ya), (b, gb, yb) = lo, hi
-    for _ in range(max_iter):
-        half = 0.5 * time_tol * max(1.0, abs(t_est))
+    for _ in range(_MAX_ITER):
+        half = 0.5 * _TIME_TOL * max(1.0, abs(t_est))
         tried = []
         for t in (t_est - half, t_est + half):
             if a < t < b:
@@ -468,34 +481,24 @@ def refine_event(
     y_left: tuple,
     t_right: float,
     g_of_y: Callable[[tuple], float],
-    g_left: float,
-    g_right: float,
-    time_tol: float = 1e-11,
-    max_iter: int = 128,
 ):
     """Locate a sign change of g_of_y between t_left and t_right.
 
-    g_left and g_right carry the signs seen at the bracket's ends; g is
-    evaluated afresh at y_left.  The bracket is integrated again from
-    y_left, in one step when the error control accepts it (a bracket of
-    one accepted step) and otherwise in substeps up to the first whose end
-    has changed sign.  The root is found on that substep's continuous
-    extension and then bracketed to time_tol*max(1, |t|) on one-substep
-    re-integrations from its left state.  Returns (t_star, y_star) with
-    y_star that re-integration's state at t_star; if the re-integration
-    keeps g's sign up to t_right, the event is put at t_right.
+    The caller has seen g change sign from y_left to its state at t_right;
+    only y_left is needed, as g's sign there is read from g_of_y.  Where
+    g(y_left) = 0 that is the event, (t_left, y_left).  Otherwise the
+    bracket is integrated again from y_left, in one step when the error
+    control accepts it (a bracket of one accepted step) and otherwise in
+    substeps up to the first whose end has changed sign.  The root is found
+    on that substep's continuous extension and then bracketed to
+    _TIME_TOL*max(1, |t|) on one-substep re-integrations from its left
+    state.  Returns (t_star, y_star) with y_star that re-integration's state
+    at t_star; if the re-integration keeps g's sign up to t_right, the event
+    is put at t_right.
     """
-    if g_left == 0.0:
-        return t_left, y_left
-    if (g_left > 0.0) == (g_right > 0.0):
-        raise BracketError(
-            f"no sign change on [{t_left}, {t_right}]: g = ({g_left}, {g_right})"
-        )
     g0 = g_of_y(y_left)
     if g0 == 0.0:
         return t_left, y_left
-    if (g0 > 0.0) != (g_left > 0.0):
-        raise BracketError(f"g(y_left) = {g0} does not have the sign of {g_left}")
 
     # The last six field calls of a DopriDriver step are its accepted
     # attempt's stages k2 ... k7.
@@ -521,12 +524,12 @@ def refine_event(
         g0 = g1
 
     dense = _dense_output(t0, y0, t1, y1, (k1, *stages))
-    tol = time_tol * max(1.0, abs(t0), abs(t1))
-    t_est = _illinois(lambda t: g_of_y(dense(t)), t0, g0, t1, g1, tol, max_iter)
+    tol = _TIME_TOL * max(1.0, abs(t0), abs(t1))
+    t_est = _illinois(lambda t: g_of_y(dense(t)), t0, g0, t1, g1, tol)
     attempt = getattr(field, "attempt", None) or _attempt_kernel(len(y0))
 
     def reintegrate(t):
         y = attempt(field, opts, y0, k1, t - t0)[0]
         return y, g_of_y(y)
 
-    return _polish(reintegrate, t_est, (t0, g0, y0), (t1, g1, y1), time_tol, max_iter)
+    return _polish(reintegrate, t_est, (t0, g0, y0), (t1, g1, y1))

@@ -64,7 +64,6 @@ def pendulum_detect(
         (q0, p0, 0.0, 1.0),
         t_out,
         opts,
-        state_dim=2,
         g_fn=_g_fn,
         qualify_fn=_qualify,
         guard_fn=None,

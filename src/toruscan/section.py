@@ -21,15 +21,12 @@ from .dynamics import (
     validate_mass_ratio,
     vector_field,
 )
-from .foliation import Plane, singularity_function
 from .integrate import DopriDriver, StepUnderflowError, refine_event
 
 __all__ = [
     "SectionCrossing",
     "ReturnMapResult",
-    "radial_momentum",
     "radial_momentum_rate",
-    "section_contains",
     "return_map",
 ]
 
@@ -61,15 +58,6 @@ class ReturnMapResult:
     n_ambiguous: int = 0
 
 
-def radial_momentum(s: State) -> float:
-    """p_r = (x vx + y vy) / r, the radial velocity."""
-    x, y, vx, vy = s
-    r = math.hypot(x, y)
-    if r == 0.0:
-        raise ValueError("radial momentum undefined at the origin")
-    return (x * vx + y * vy) / r
-
-
 def radial_momentum_rate(s: State, mu: float) -> float:
     """d(p_r)/dt along the flow, analytic."""
     x, y, vx, vy = s
@@ -79,15 +67,6 @@ def radial_momentum_rate(s: State, mu: float) -> float:
     v = vector_field(s, mu)
     p_r = (x * vx + y * vy) / r
     return (vx * vx + vy * vy + x * v.dvx + y * v.dvy) / r - p_r * p_r / r
-
-
-def section_contains(r: float, L: float, mu: float, plane: Plane) -> bool:
-    """True iff the plane point lies on the section side (f >= 0).
-
-    On a symmetry plane dp_r/dt = -f(r, L), so f >= 0 marks dp_r/dt <= 0;
-    for mu = 0 this reduces to r >= L^2.
-    """
-    return singularity_function(r, L, mu, plane) >= 0.0
 
 
 def return_map(
@@ -138,15 +117,7 @@ def return_map(
             sign_new = 1 if g_new > 0.0 else -1
             if sign_prev > 0 and sign_new < 0:
                 t_star, y_star = refine_event(
-                    field_fn,
-                    opts,
-                    prev_t,
-                    prev_y,
-                    t1,
-                    p_r_of,
-                    1.0,
-                    g_new,
-                    time_tol=cfg.refine_time_tol,
+                    field_fn, opts, prev_t, prev_y, t1, p_r_of
                 )
                 s_star = State(*y_star)
                 rate = radial_momentum_rate(s_star, mu)

@@ -31,7 +31,6 @@ __all__ = [
     "UnboundOrbitError",
     "DegenerateOrbitError",
     "torus_region_contains",
-    "radial_invariant_residual",
     "elements_from_state",
     "resonance_curve",
     "crossing_boundary",
@@ -78,13 +77,6 @@ def torus_region_contains(L: float, C: float) -> bool:
     if L == 0.0:
         return False
     return 2.0 * L < C < 2.0 * L + 1.0 / (L * L)
-
-
-def radial_invariant_residual(r: float, p_r: float, L: float, C: float) -> float:
-    """p_r^2 + L^2/r^2 - 2L - 2/r + C; zero on the mu = 0 invariant set."""
-    if r <= 0.0:
-        raise ValueError(f"radius must be positive, got {r}")
-    return p_r * p_r + (L * L) / (r * r) - 2.0 * L - 2.0 / r + C
 
 
 def elements_from_state(s: State) -> KeplerElements:

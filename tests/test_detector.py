@@ -10,7 +10,7 @@ from toruscan.detector import (
     DetectionOutcome,
     DetectorConfig,
     Formulation,
-    _make_g_monitor,
+    _g_monitor,
     _make_guard,
     antisymmetric_tangent,
     lyapunov_estimate,
@@ -222,11 +222,10 @@ class TestBothAndDispatch:
         assert both.diagnostics["general"] == "Nonexistence"
 
     def test_general_singular_seed_keeps_symmetric_outcome(self):
-        # A parallel-gradient point within degeneracy_tol: general cannot
-        # seed, and symmetric fires only at t = 22.1, after this timeout.
-        s = plane_point(Plane.THETA0, 3.5125, 1.875, 0.1)
-        cfg = cfg_with(t_out=10.0, degeneracy_tol=1e-3)
-        both = run_both(s, 0.1, cfg)
+        # A circular mu = 0 orbit (r = L^2) has parallel gradients: general
+        # cannot seed, and symmetric runs to the timeout.
+        s = plane_point(Plane.THETA0, 1.44, 1.2, 0.0)
+        both = run_both(s, 0.0, cfg_with(t_out=10.0))
         assert both.classification is Classification.UNDETERMINED
         assert both.diagnostics["general"] == "SingularSeed"
         assert both.diagnostics["general_reason"] == "parallel-gradients"
@@ -303,8 +302,8 @@ class TestLyapunovEstimate:
 class TestGMonitor:
     @pytest.mark.parametrize("mu", [0.0, 0.1, 0.3])
     def test_matches_symplectic_form_of_foliation_xi(self, rng, mu):
-        # The inlined monitor against the readable dynamics/foliation copies.
-        g_fn = _make_g_monitor(mu, IntegratorOptions())
+        # The compiled monitor against the readable dynamics/foliation copies.
+        g_fn = _g_monitor(mu, IntegratorOptions().rel_tol)
         for s in random_states(rng, 40, avoid_mu=mu):
             eta = tuple(float(c) for c in rng.normal(size=4))
             g, scale = g_fn(tuple(s) + eta)
@@ -312,6 +311,20 @@ class TestGMonitor:
             ref_scale = math.sqrt(sum(c * c for c in eta) * sum(c * c for c in xi))
             assert scale == pytest.approx(ref_scale, rel=1e-13)
             assert abs(g - symplectic_form(eta, xi)) <= 1e-13 * ref_scale
+
+    @pytest.mark.parametrize(
+        "mu, s",
+        [
+            # grad H vanishes at an equilibrium.
+            (0.1, State(*lagrange_points(0.1)[3], 0.0, 0.0)),
+            # grad L is parallel to grad H on a circular mu = 0 orbit.
+            (0.0, plane_point(Plane.THETA0, 1.44, 1.2, 0.0)),
+        ],
+        ids=["L4", "circular-mu0"],
+    )
+    def test_unresolved_xi_is_never_live(self, mu, s):
+        g_fn = _g_monitor(mu, IntegratorOptions().rel_tol)
+        assert g_fn(tuple(s) + (0.3, -0.2, 0.5, 0.1)) == (0.0, 0.0)
 
 
 class TestGuard:

@@ -18,7 +18,6 @@ from toruscan.dynamics import (
     joint_field,
     kepler_energy,
     lagrange_points,
-    momenta,
     polar,
     potential_gradient,
     reversal,
@@ -98,12 +97,6 @@ class TestAngularMomentumAndMomenta:
 
     def test_zero_at_origin(self):
         assert angular_momentum(State(0.0, 0.0, 0.7, -0.2)) == 0.0
-
-    def test_momenta_roundtrip(self, rng):
-        for s in random_states(rng, 10):
-            p = momenta(s)
-            assert p.px == s.vx - s.y
-            assert p.py == s.vy + s.x
 
     def test_polar_fields(self):
         s = State(0.6, 0.8, 0.3, -0.1)

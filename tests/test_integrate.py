@@ -6,7 +6,6 @@ import pytest
 
 from toruscan.dynamics import State, flow_field, hamiltonian, joint_field
 from toruscan.integrate import (
-    BracketError,
     DopriDriver,
     IntegratorOptions,
     StepUnderflowError,
@@ -242,31 +241,19 @@ class TestStepController:
 
 
 class TestRefinement:
-    def test_invalid_bracket(self):
-        with pytest.raises(BracketError):
-            refine_event(
-                harmonic_field,
-                IntegratorOptions(),
-                0.0,
-                (1.0, 0.0),
-                1.0,
-                lambda y: y[0],
-                1.0,
-                0.5,
-            )
-
-    def test_left_state_must_have_the_given_sign(self):
-        with pytest.raises(BracketError):
-            refine_event(
-                harmonic_field,
-                IntegratorOptions(),
-                0.0,
-                (1.0, 0.0),
-                2.0,
-                lambda y: y[0],
-                -1.0,
-                0.5,
-            )
+    def test_returns_an_end_without_a_crossing_to_locate(self):
+        opts = IntegratorOptions()
+        # g(y_left) = 0: the left end is the event.
+        y_left = (0.0, -1.0)
+        assert refine_event(
+            harmonic_field, opts, 0.5, y_left, 1.0, lambda y: y[0]
+        ) == (0.5, y_left)
+        # x = cos t keeps its sign on [0, 1]: the event is put at t_right.
+        t_star, y_star = refine_event(
+            harmonic_field, opts, 0.0, (1.0, 0.0), 1.0, lambda y: y[0]
+        )
+        assert t_star == pytest.approx(1.0, abs=1e-12)
+        assert y_star[0] == pytest.approx(math.cos(1.0), abs=1e-9)
 
     def test_state_is_the_one_substep_reintegration_at_t_star(self):
         # x = cos t crosses zero inside one accepted step of the oscillator.
@@ -276,7 +263,7 @@ class TestRefinement:
         while y1[0] > 0.0:
             t0, y0, t1, y1 = drv.step(10.0)
         t_star, y_star = refine_event(
-            harmonic_field, opts, t0, y0, t1, lambda y: y[0], y0[0], y1[0]
+            harmonic_field, opts, t0, y0, t1, lambda y: y[0]
         )
         assert t0 < t_star < t1
         again = _attempt_kernel(2)(
@@ -292,7 +279,7 @@ class TestRefinement:
         # steps at h_max = 0.1.
         opts = IntegratorOptions()
         t_star, y_star = refine_event(
-            harmonic_field, opts, 0.0, (1.0, 0.0), 3.0, lambda y: y[0], 1.0, -0.99
+            harmonic_field, opts, 0.0, (1.0, 0.0), 3.0, lambda y: y[0]
         )
         assert t_star == pytest.approx(0.5 * math.pi, abs=1e-9)
         assert abs(y_star[0]) <= 1e-11 * max(1.0, t_star) * abs(y_star[1])
@@ -342,9 +329,7 @@ class TestRefinement:
             t0, y0, t1, y1 = drv.step(10.0)
             g1 = p_r(y1)
             if prev_g > 1e-12 and g1 < -1e-12:
-                t_star, _ = refine_event(
-                    field, opts, prev_t, prev_y, t1, p_r, prev_g, g1
-                )
+                t_star, _ = refine_event(field, opts, prev_t, prev_y, t1, p_r)
                 return t_star
             if abs(g1) > 1e-12:
                 prev_t, prev_y, prev_g = t1, y1, g1

@@ -4,16 +4,11 @@ import numpy as np
 import pytest
 
 from toruscan.detector import DetectorConfig
-from toruscan.dynamics import State, jacobi_constant
-from toruscan.foliation import Plane
+from toruscan.dynamics import State, jacobi_constant, polar
+from toruscan.foliation import Plane, singularity_function
 from toruscan.integrate import IntegratorOptions
 from toruscan.scan import plane_point
-from toruscan.section import (
-    radial_momentum,
-    radial_momentum_rate,
-    return_map,
-    section_contains,
-)
+from toruscan.section import radial_momentum_rate, return_map
 from toruscan.unperturbed import elements_from_state
 
 
@@ -30,9 +25,7 @@ class TestRadialMomentum:
             vx, vy = rng.uniform(-1, 1, 2)
             s = State(float(x), float(y), float(vx), float(vy))
             r = math.hypot(s.x, s.y)
-            assert radial_momentum(s) == pytest.approx(
-                (s.x * s.vx + s.y * s.vy) / r
-            )
+            assert polar(s).p_r == pytest.approx((s.x * s.vx + s.y * s.vy) / r)
 
     def test_rate_against_finite_differences(self):
         from toruscan.dynamics import flow_field
@@ -44,7 +37,7 @@ class TestRadialMomentum:
         drv = DopriDriver(flow_field(mu), IntegratorOptions(h_init=h, h_max=h, fixed_step=True))
         drv.reset(0.0, tuple(s))
         drv.step(h)
-        fd = (radial_momentum(State(*drv.y)) - radial_momentum(s)) / h
+        fd = (polar(State(*drv.y)).p_r - polar(s).p_r) / h
         assert radial_momentum_rate(s, mu) == pytest.approx(fd, abs=1e-5)
 
 
@@ -60,7 +53,7 @@ class TestReturnMap:
         for k, c in enumerate(res.crossings):
             assert c.polar.r == pytest.approx(a * (1.0 + e), abs=1e-8)
             assert c.t == pytest.approx((k + 0.5) * period, abs=1e-6)
-            assert abs(radial_momentum(c.s)) < 1e-9
+            assert abs(polar(c.s).p_r) < 1e-9
             assert c.dp_r_dt <= 0.0
 
     def test_crossing_radius_equals_osculating_apoapsis(self, rng):
@@ -118,21 +111,26 @@ class TestReturnMap:
 
 
 class TestSectionMembership:
+    # The section side is dp_r/dt <= 0; on a symmetry plane dp_r/dt = -f(r, L).
     def test_unperturbed_rule(self):
-        assert section_contains(1.5, 1.0, 0.0, Plane.THETA0)  # r >= L^2
-        assert not section_contains(0.8, 1.0, 0.0, Plane.THETA0)
+        # r >= L^2 at mu = 0.
+        def rate(r, L):
+            return radial_momentum_rate(plane_point(Plane.THETA0, r, L, 0.0), 0.0)
+
+        assert rate(1.5, 1.0) <= 0.0
+        assert rate(0.8, 1.0) > 0.0
 
     def test_perturbed_example(self):
-        assert section_contains(2.0, 0.0, 0.1, Plane.THETA0)
+        s = plane_point(Plane.THETA0, 2.0, 0.0, 0.1)
+        assert radial_momentum_rate(s, 0.1) <= 0.0
 
     def test_boundary_matches_singularity_zero_set(self):
-        from toruscan.foliation import singularity_function
-
         mu = 0.1
         for r in (0.3, 0.5, 1.2, 2.0, 3.0):
             for L in (-1.5, -0.4, 0.4, 1.5):
+                rate = radial_momentum_rate(plane_point(Plane.THETA0, r, L, mu), mu)
                 f = singularity_function(r, L, mu, Plane.THETA0)
-                assert section_contains(r, L, mu, Plane.THETA0) is (f >= 0.0)
+                assert rate == pytest.approx(-f, rel=1e-12, abs=1e-12)
 
     def test_accepted_crossings_lie_on_section_side(self):
         mu = 0.1
