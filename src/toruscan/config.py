@@ -11,6 +11,7 @@ serialized text identifies the run.
 from __future__ import annotations
 
 import hashlib
+import math
 from dataclasses import dataclass, fields
 
 from .detector import DetectorConfig, Formulation
@@ -114,6 +115,13 @@ def _parse_ratios(text: str) -> tuple:
     return tuple(out)
 
 
+def _parse_float(text: str) -> float:
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(f"expected a finite number, got {text.strip()!r}")
+    return value
+
+
 def _parse_seeds(text: str) -> tuple:
     text = text.strip()
     if not text:
@@ -122,7 +130,7 @@ def _parse_seeds(text: str) -> tuple:
     for item in text.split(","):
         item = item.strip()
         r_str, l_str = item.split(":", 1)
-        out.append((float(r_str), float(l_str)))
+        out.append((_parse_float(r_str), _parse_float(l_str)))
     return tuple(out)
 
 
@@ -136,7 +144,7 @@ def _format_seeds(seeds) -> str:
 
 _PARSERS = {
     str: lambda t: t.strip(),
-    float: lambda t: float(t),
+    float: _parse_float,
     int: lambda t: int(t),
     bool: _parse_bool,
 }
@@ -224,8 +232,10 @@ def validate_config(cfg: RunConfig) -> list[str]:
         e.append(
             f"formulation must be one of {_FORMULATIONS}, got {cfg.formulation!r}"
         )
-    if cfg.rel_tol <= 0.0 or cfg.abs_tol <= 0.0:
-        e.append("tolerances must be positive")
+    if not (0.0 < cfg.rel_tol < 1.0 and cfg.abs_tol > 0.0):
+        e.append(
+            f"need 0 < rel_tol < 1 and abs_tol > 0, got ({cfg.rel_tol}, {cfg.abs_tol})"
+        )
     if not (0.0 < cfg.h_min <= cfg.h_init <= cfg.h_max):
         e.append(
             f"need 0 < h_min <= h_init <= h_max, got "

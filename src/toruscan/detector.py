@@ -469,12 +469,7 @@ def run_general(
     return _joint_run(s0, mu, cfg, eta0, detect=True, qualify_fn=qualify, extra=extra)
 
 
-def run_symmetric(
-    s0: State,
-    mu: float,
-    cfg: DetectorConfig,
-    eta0: TangentVector | None = None,
-) -> DetectionOutcome:
+def run_symmetric(s0: State, mu: float, cfg: DetectorConfig) -> DetectionOutcome:
     """Symmetric-formulation detection from a symmetry-plane seed.
 
     The seed tangent is antisymmetric, so any sign change of omega(eta, xi)
@@ -482,11 +477,10 @@ def run_symmetric(
     (where no independent antisymmetric tangent exists).
     """
     validate_mass_ratio(mu)
-    if eta0 is None:
-        try:
-            eta0 = antisymmetric_tangent(s0, mu)
-        except foliation.SingularPointError:
-            return _singular_outcome(s0, mu, "equilibrium")
+    try:
+        eta0 = antisymmetric_tangent(s0, mu)
+    except foliation.SingularPointError:
+        return _singular_outcome(s0, mu, "equilibrium")
     return _joint_run(s0, mu, cfg, eta0, detect=True)
 
 

@@ -9,10 +9,9 @@ alone and the pendulum oracle).  The driver supports:
 * location of sign changes of scalar observables between accepted steps
   (``refine_event``, given the left state and the right time): the step
   holding the sign change is integrated again from its stored left state,
-  the root is found on that step's DOPRI5 continuous extension (the stages
-  it already computed, Hairer, Norsett & Wanner, Solving ODEs I, II.6), and
-  the root is polished on one-substep re-integrations from the step's left
-  state until it is bracketed to 1e-11 relative in time.
+  and from the secant root of the observable's values at that step's ends
+  the root is bracketed to 1e-11 relative in time on one-substep
+  re-integrations from the step's left state.
 
 One trial step has a readable reference, ``_attempt`` (generator
 expressions over the components, one per stage), and straight-line kernels
@@ -23,17 +22,16 @@ compiles a field written once as a ``FieldSource`` into the callable and
 this kernel, as its ``.attempt``; ``make_function`` compiles the callable
 alone).  Every component expression of a kernel
 performs the reference's operations in the reference's order, so its
-``(y_new, k7, err)`` equal the reference's bit for bit.  ``DopriDriver`` and
-``refine_event``'s polish step with the field's ``.attempt`` when it has
-one and with the call-through kernel otherwise; the tests compare both
-with the reference.
+``(y_new, k7, err)`` equal the reference's bit for bit.
+``DopriDriver.reset`` picks the field's ``.attempt`` when it has one and
+the call-through kernel otherwise, and ``refine_event`` re-integrates with
+the driver's pick; the tests compare both kernels with the reference.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-from collections import deque
 from dataclasses import dataclass
 from typing import Callable, NamedTuple, Sequence
 
@@ -79,15 +77,6 @@ _E1, _E3, _E4, _E5, _E6, _E7 = (
     22.0 / 525.0,
     -1.0 / 40.0,
 )
-# Weights of the continuous extension (Hairer's DOPRI5 dense output).
-_D1, _D3, _D4, _D5, _D6, _D7 = (
-    -12715105075.0 / 11282082432.0,
-    87487479700.0 / 32700410799.0,
-    -10690763975.0 / 1880347072.0,
-    701980252875.0 / 199316789632.0,
-    -1453857185.0 / 822651844.0,
-    69997945.0 / 29380423.0,
-)
 
 
 class StepUnderflowError(RuntimeError):
@@ -120,8 +109,11 @@ class IntegratorOptions:
                 f"need 0 < h_min <= h_init <= h_max, got "
                 f"({self.h_min}, {self.h_init}, {self.h_max})"
             )
-        if self.rel_tol <= 0.0 or self.abs_tol <= 0.0:
-            raise ValueError("tolerances must be positive")
+        if not (0.0 < self.rel_tol < 1.0 and self.abs_tol > 0.0):
+            raise ValueError(
+                f"need 0 < rel_tol < 1 and abs_tol > 0, got "
+                f"({self.rel_tol}, {self.abs_tol})"
+            )
 
 
 def _attempt(field, opts, y, k1, h):
@@ -372,75 +364,10 @@ class DopriDriver:
             h = h if h > opts.h_min else opts.h_min
 
 
-def _dense_output(t0, y0, t1, y1, k):
-    """The step's 4th-order continuous extension, t -> y(t) on [t0, t1].
-
-    k holds the step's stage derivatives k1 ... k7 (k2 is unused).
-    """
-    h = t1 - t0
-    k1, _, k3, k4, k5, k6, k7 = k
-    rows = []
-    for i in range(len(y0)):
-        dy = y1[i] - y0[i]
-        bspl = h * k1[i] - dy
-        rows.append(
-            (
-                y0[i],
-                dy,
-                bspl,
-                dy - h * k7[i] - bspl,
-                h
-                * (
-                    _D1 * k1[i]
-                    + _D3 * k3[i]
-                    + _D4 * k4[i]
-                    + _D5 * k5[i]
-                    + _D6 * k6[i]
-                    + _D7 * k7[i]
-                ),
-            )
-        )
-
-    def at(t):
-        s = (t - t0) / h
-        u = 1.0 - s
-        return tuple(
-            r0 + s * (r1 + u * (r2 + s * (r3 + u * r4))) for r0, r1, r2, r3, r4 in rows
-        )
-
-    return at
-
-
-# Events are located in time to _TIME_TOL relative; either search gives up
+# Events are located in time to _TIME_TOL relative; the polish gives up
 # after _MAX_ITER rounds.
 _TIME_TOL = 1e-11
 _MAX_ITER = 128
-
-
-def _illinois(f, a, fa, b, fb, tol):
-    """Root of f on [a, b], fa and fb of opposite signs: Illinois regula falsi."""
-    c = a
-    side = 0
-    for _ in range(_MAX_ITER):
-        c = a - fa * (b - a) / (fb - fa)
-        if not a < c < b:
-            break
-        fc = f(c)
-        if fc == 0.0:
-            break
-        if (fc > 0.0) == (fb > 0.0):
-            b, fb = c, fc
-            if side == -1:
-                fa *= 0.5
-            side = -1
-        else:
-            a, fa = c, fc
-            if side == 1:
-                fb *= 0.5
-            side = 1
-        if b - a <= tol:
-            break
-    return c
 
 
 def _polish(at, t_est, lo, hi):
@@ -489,27 +416,19 @@ def refine_event(
     g(y_left) = 0 that is the event, (t_left, y_left).  Otherwise the
     bracket is integrated again from y_left, in one step when the error
     control accepts it (a bracket of one accepted step) and otherwise in
-    substeps up to the first whose end has changed sign.  The root is found
-    on that substep's continuous extension and then bracketed to
+    substeps up to the first whose end has changed sign.  From the secant
+    root of g's values at that substep's ends, the root is bracketed to
     _TIME_TOL*max(1, |t|) on one-substep re-integrations from its left
-    state.  Returns (t_star, y_star) with y_star that re-integration's state
-    at t_star; if the re-integration keeps g's sign up to t_right, the event
-    is put at t_right.
+    state, taken with the driver's own kernel.  Returns (t_star, y_star)
+    with y_star that re-integration's state at t_star; if the
+    re-integration keeps g's sign up to t_right, the event is put at
+    t_right.
     """
     g0 = g_of_y(y_left)
     if g0 == 0.0:
         return t_left, y_left
 
-    # The last six field calls of a DopriDriver step are its accepted
-    # attempt's stages k2 ... k7.
-    stages = deque(maxlen=6)
-
-    def recording(y):
-        k = field(y)
-        stages.append(k)
-        return k
-
-    drv = DopriDriver(recording, opts).reset(
+    drv = DopriDriver(field, opts).reset(
         t_left, y_left, h=min(t_right - t_left, opts.h_max)
     )
     drv._k1 = field(y_left)
@@ -523,13 +442,10 @@ def refine_event(
             break
         g0 = g1
 
-    dense = _dense_output(t0, y0, t1, y1, (k1, *stages))
-    tol = _TIME_TOL * max(1.0, abs(t0), abs(t1))
-    t_est = _illinois(lambda t: g_of_y(dense(t)), t0, g0, t1, g1, tol)
-    attempt = getattr(field, "attempt", None) or _attempt_kernel(len(y0))
+    t_est = t0 - g0 * (t1 - t0) / (g1 - g0)
 
     def reintegrate(t):
-        y = attempt(field, opts, y0, k1, t - t0)[0]
+        y = drv._attempt(field, opts, y0, k1, t - t0)[0]
         return y, g_of_y(y)
 
     return _polish(reintegrate, t_est, (t0, g0, y0), (t1, g1, y1))

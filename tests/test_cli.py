@@ -58,6 +58,23 @@ class TestDetect:
         assert payload["error"] == "ConfigError"
         assert any("seed" in m for m in payload["messages"])
 
+    @pytest.mark.parametrize(
+        "flags",
+        [
+            ["--seeds", "1.5:0.5", "--t-out", "nan"],
+            ["--seeds", "3.5:1.87", "--t-out", "inf"],
+            ["--seeds", "nan:0.5"],
+            ["--seeds", "1.5:-inf"],
+            ["--seeds", "1.5:0.5", "--rel-tol", "nan"],
+            ["--seeds", "1.5:0.5", "--rel-tol", "1e200"],
+        ],
+    )
+    def test_non_finite_or_out_of_range_setting_is_config_error(self, flags, capsys):
+        code, out, err = run_cli(["detect", "--mu", "0.1", *flags], capsys)
+        assert code == 2
+        assert out == ""
+        assert json.loads(err)["error"] == "ConfigError"
+
 
 class TestScan:
     def test_writes_csv_json_png(self, tmp_path, capsys):

@@ -58,6 +58,15 @@ class TestParseAndValidate:
             parse_config("command = scan\nt_out = -4\n")
         assert any("t_out" in m for m in err.value.errors)
 
+    def test_non_finite_values_rejected(self):
+        with pytest.raises(ConfigError) as err:
+            parse_config("command = detect\nt_out = inf\nseeds = 1.5:nan\n")
+        joined = "\n".join(err.value.errors)
+        assert "'t_out'" in joined and "'seeds'" in joined
+        with pytest.raises(ConfigError) as err:
+            make_config({"rel_tol": float("nan")})
+        assert any("rel_tol" in m for m in err.value.errors)
+
     def test_unknown_key_rejected(self):
         with pytest.raises(ConfigError) as err:
             parse_config("command = scan\nbogus = 1\n")

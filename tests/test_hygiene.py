@@ -1,7 +1,9 @@
 """Import/export hygiene of the package modules, checked with ast and importlib.
 
 Every imported name is used in its module (or re-exported through
-``__all__``), and every name a module lists in ``__all__`` exists.
+``__all__``), every name a module lists in ``__all__`` exists, and every
+private top-level name of a module is referenced by some module of the
+package.
 """
 
 import ast
@@ -39,6 +41,58 @@ def _unused_imports(tree):
     )
 
 
+def _private_definitions(tree):
+    """{name: line} of the private names a module binds at top level."""
+    defined = {}
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            defined[node.name] = node.lineno
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            for target in targets:
+                for n in ast.walk(target):
+                    if isinstance(n, ast.Name):
+                        defined[n.id] = n.lineno
+    return {
+        name: line
+        for name, line in defined.items()
+        if name.startswith("_") and not name.endswith("__")
+    }
+
+
+def _references(tree):
+    """Names a module reads, as a bare name, an attribute or an import."""
+    refs = set()
+    for n in ast.walk(tree):
+        if isinstance(n, ast.Name) and not isinstance(n.ctx, ast.Store):
+            refs.add(n.id)
+        elif isinstance(n, ast.Attribute):
+            refs.add(n.attr)
+        elif isinstance(n, ast.ImportFrom):
+            refs.update(alias.name for alias in n.names)
+    return refs
+
+
+def _unreferenced_private(tree, refs):
+    return sorted(
+        f"{name} (line {line})"
+        for name, line in _private_definitions(tree).items()
+        if name not in refs
+    )
+
+
+TREES = {
+    name: ast.parse((SRC / f"{name}.py").read_text(encoding="utf-8"))
+    for name in MODULES
+}
+PACKAGE_REFS = set().union(*map(_references, TREES.values()))
+
+
+@pytest.mark.parametrize("name", MODULES)
+def test_no_unreferenced_private_names(name):
+    assert _unreferenced_private(TREES[name], PACKAGE_REFS) == []
+
+
 @pytest.mark.parametrize("name", MODULES)
 def test_no_unused_imports(name):
     tree = ast.parse((SRC / f"{name}.py").read_text(encoding="utf-8"))
@@ -57,3 +111,23 @@ def test_all_names_resolve(name):
 def test_detects_an_unused_import():
     tree = ast.parse("import os\nfrom math import sqrt, pi\nx = pi\n")
     assert _unused_imports(tree) == ["os (line 1)", "sqrt (line 2)"]
+
+
+def test_detects_an_unreferenced_private_name():
+    module = ast.parse(
+        "_A, _B = 1, 2\n"
+        "_C: int = _A\n"
+        "def _f():\n    return _g()\n"
+        "def _g():\n    return 0\n"
+        "class _K:\n    pass\n"
+        "__version__ = '1'\n"
+    )
+    other = ast.parse("from pkg.mod import _K\nimport pkg\npkg.mod._f()\n")
+    refs = _references(module) | _references(other)
+    assert _unreferenced_private(module, refs) == ["_B (line 1)", "_C (line 2)"]
+    assert _unreferenced_private(module, _references(module)) == [
+        "_B (line 1)",
+        "_C (line 2)",
+        "_K (line 7)",
+        "_f (line 3)",
+    ]

@@ -11,7 +11,6 @@ from toruscan.integrate import (
     StepUnderflowError,
     _attempt,
     _attempt_kernel,
-    _dense_output,
     refine_event,
 )
 
@@ -29,6 +28,19 @@ def drive_to(field, y0, t_end, opts):
 
 
 class TestAdaptiveStepping:
+    @pytest.mark.parametrize(
+        "tolerance",
+        [
+            {"rel_tol": math.nan},
+            {"rel_tol": 1.0},
+            {"rel_tol": 0.0},
+            {"abs_tol": math.nan},
+        ],
+    )
+    def test_options_reject_nan_and_out_of_range_tolerances(self, tolerance):
+        with pytest.raises(ValueError, match="rel_tol"):
+            IntegratorOptions(**tolerance)
+
     def test_harmonic_oscillator_one_period(self):
         drv = drive_to(harmonic_field, (1.0, 0.0), 2.0 * math.pi, IntegratorOptions())
         assert abs(drv.y[0] - 1.0) < 1e-8
@@ -285,28 +297,33 @@ class TestRefinement:
         assert abs(y_star[0]) <= 1e-11 * max(1.0, t_star) * abs(y_star[1])
         assert y_star[1] == pytest.approx(-1.0, abs=1e-9)
 
-    def test_continuous_extension_is_fourth_order(self):
-        # The interpolant's error inside one step falls as h^5.
-        opts = IntegratorOptions(fixed_step=True)
-        y0 = (1.0, 0.3)
-        errors = []
-        for h in (0.4, 0.2, 0.1):
-            stages = []
+    @pytest.mark.parametrize("fixed_step", [False, True])
+    def test_contract_on_random_single_step_brackets(self, fixed_step):
+        # x = cos t, v = -sin t: g = sin(tc) x + cos(tc) v = sin(tc - t)
+        # changes sign at t = tc, which is put inside one accepted step.
+        rng = random.Random(20261020 + fixed_step)
+        for _ in range(200):
+            h = math.exp(rng.uniform(math.log(1e-3), math.log(0.5)))
+            opts = IntegratorOptions(h_init=h, h_max=0.5, fixed_step=fixed_step)
+            t_left = rng.uniform(0.0, 20.0)
+            y_left = (math.cos(t_left), -math.sin(t_left))
+            drv = DopriDriver(harmonic_field, opts).reset(t_left, y_left)
+            t0, y0, t1, y1 = drv.step(t_left + 1.0)
+            tc = t0 + rng.uniform(0.05, 0.95) * (t1 - t0)
+            a, b = math.sin(tc), math.cos(tc)
 
-            def recording(y):
-                stages.append(pendulum_like_field(y))
-                return stages[-1]
+            def g(y):
+                return a * y[0] + b * y[1]
 
-            k1 = pendulum_like_field(y0)
-            y1, _, _ = _attempt_kernel(2)(recording, opts, y0, k1, h)
-            dense = _dense_output(0.0, y0, h, y1, (k1, *stages))
-            t = 0.37 * h
-            exact = drive_to(
-                pendulum_like_field, y0, t, IntegratorOptions(rel_tol=1e-14, abs_tol=1e-16)
-            ).y
-            errors.append(max(abs(a - b) for a, b in zip(dense(t), exact)))
-        assert errors[0] / errors[1] > 24.0
-        assert errors[1] / errors[2] > 24.0
+            assert (g(y0) > 0.0) != (g(y1) > 0.0)
+            t_star, y_star = refine_event(harmonic_field, opts, t0, y0, t1, g)
+            assert t0 <= t_star <= t1
+            again = _attempt_kernel(2)(
+                harmonic_field, opts, y0, harmonic_field(y0), t_star - t0
+            )[0]
+            assert y_star == again
+            dg_dt = a * y_star[1] - b * y_star[0]
+            assert abs(g(y_star)) <= 1e-11 * max(1.0, t_star) * abs(dg_dt)
 
     @staticmethod
     def _apsis_time(rel_tol):
