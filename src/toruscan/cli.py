@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 from dataclasses import fields
 
@@ -44,9 +45,13 @@ from .section import return_map
 # Every configuration key is a flag; each flag's value is parsed like the
 # same key in a configuration file.
 _KEYS = tuple(f.name for f in fields(RunConfig) if f.name != "command")
+# A word that begins like a negative number is a flag's value.  argparse's
+# own pattern (-1, -.5) takes -1e-3 and -inf for flags.
+_NEGATIVE_NUMBER = re.compile(r"-\.?\d|-(inf|nan)", re.IGNORECASE)
 
 
 def _add_common(sub: argparse.ArgumentParser) -> None:
+    sub._negative_number_matcher = _NEGATIVE_NUMBER
     sub.add_argument("--config", help="key = value configuration file")
     for key in _KEYS:
         flag = f"--{key.replace('_', '-')}"

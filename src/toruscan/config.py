@@ -6,17 +6,24 @@ Lists are comma separated: winding ratios as integer fractions such as
 Serialization emits every field with defaults resolved, so a parsed
 round-trip reproduces the configuration exactly and the hash of the
 serialized text identifies the run.
+
+A setting's default and rule belong to the type that consumes it
+(``IntegratorOptions``, ``DetectorConfig``, ``PlaneSeedSpec``, the mass
+ratio); ``validate_config`` collects their messages and checks the other
+keys.  NaN fails every rule.
 """
 
 from __future__ import annotations
 
 import hashlib
 import math
+import warnings
 from dataclasses import dataclass, fields
 
 from .detector import DetectorConfig, Formulation
+from .dynamics import validate_mass_ratio
 from .foliation import Plane
-from .integrate import IntegratorOptions
+from .integrate import ConfigError, IntegratorOptions
 from .scan import PlaneSeedSpec
 
 __all__ = [
@@ -36,13 +43,8 @@ _FORMULATIONS = tuple(f.value for f in Formulation)
 _PLANES = tuple(p.value for p in Plane)
 _COORD_MODES = ("rL", "rbar")
 
-
-class ConfigError(ValueError):
-    """Carries every violated constraint, not just the first."""
-
-    def __init__(self, errors):
-        self.errors = list(errors)
-        super().__init__("; ".join(self.errors))
+_DETECTOR = DetectorConfig()
+_INTEGRATOR = _DETECTOR.integrator
 
 
 @dataclass(frozen=True)
@@ -58,18 +60,18 @@ class RunConfig:
     L_min: float = -2.5
     L_max: float = 2.5
     n_L: int = 100
-    t_out: float = 40.0
-    formulation: str = "general"
-    rel_tol: float = 1e-10
-    abs_tol: float = 1e-12
-    h_init: float = 1e-3
-    h_min: float = 1e-12
-    h_max: float = 0.1
-    fixed_step: bool = False
-    renorm_threshold: float = 1e6
-    collision_radius: float = 1e-3
-    escape_radius: float = 20.0
-    compute_lyapunov: bool = False
+    t_out: float = _DETECTOR.t_out
+    formulation: str = _DETECTOR.formulation.value
+    rel_tol: float = _INTEGRATOR.rel_tol
+    abs_tol: float = _INTEGRATOR.abs_tol
+    h_init: float = _INTEGRATOR.h_init
+    h_min: float = _INTEGRATOR.h_min
+    h_max: float = _INTEGRATOR.h_max
+    fixed_step: bool = _INTEGRATOR.fixed_step
+    renorm_threshold: float = _INTEGRATOR.renorm_threshold
+    collision_radius: float = _INTEGRATOR.collision_radius
+    escape_radius: float = _INTEGRATOR.escape_radius
+    compute_lyapunov: bool = _DETECTOR.compute_lyapunov
     workers: int = 1
     exclusion_tol: float = 1e-3
     coord_mode: str = "rL"
@@ -214,61 +216,43 @@ def make_config(values: dict) -> RunConfig:
 def validate_config(cfg: RunConfig) -> list[str]:
     """Every violated constraint, empty when the configuration is valid."""
     e: list[str] = []
-    if cfg.command not in _COMMANDS:
-        e.append(f"command must be one of {_COMMANDS}, got {cfg.command!r}")
-    if not (0.0 <= cfg.mu <= 1.0):
-        e.append(f"mu must lie in [0, 1], got {cfg.mu}")
-    if cfg.plane not in _PLANES:
-        e.append(f"plane must be one of {_PLANES}, got {cfg.plane!r}")
-    if not (0.0 < cfg.r_min < cfg.r_max):
-        e.append(f"need 0 < r_min < r_max, got ({cfg.r_min}, {cfg.r_max})")
-    if cfg.L_min >= cfg.L_max:
-        e.append(f"need L_min < L_max, got ({cfg.L_min}, {cfg.L_max})")
-    if cfg.n_r < 2 or cfg.n_L < 2:
-        e.append(f"grid counts must be >= 2, got ({cfg.n_r}, {cfg.n_L})")
-    if cfg.t_out <= 0.0:
-        e.append(f"t_out must be positive, got {cfg.t_out}")
-    if cfg.formulation not in _FORMULATIONS:
-        e.append(
-            f"formulation must be one of {_FORMULATIONS}, got {cfg.formulation!r}"
-        )
-    if not (0.0 < cfg.rel_tol < 1.0 and cfg.abs_tol > 0.0):
-        e.append(
-            f"need 0 < rel_tol < 1 and abs_tol > 0, got ({cfg.rel_tol}, {cfg.abs_tol})"
-        )
-    if not (0.0 < cfg.h_min <= cfg.h_init <= cfg.h_max):
-        e.append(
-            f"need 0 < h_min <= h_init <= h_max, got "
-            f"({cfg.h_min}, {cfg.h_init}, {cfg.h_max})"
-        )
-    if cfg.renorm_threshold <= 1.0:
-        e.append(f"renorm_threshold must exceed 1, got {cfg.renorm_threshold}")
-    if cfg.collision_radius < 0.0:
-        e.append(f"collision_radius must be >= 0, got {cfg.collision_radius}")
-    if cfg.escape_radius <= 0.0:
-        e.append(f"escape_radius must be positive, got {cfg.escape_radius}")
-    if cfg.workers < 1:
-        e.append(f"workers must be >= 1, got {cfg.workers}")
-    if cfg.exclusion_tol < 0.0:
+    grid = {f.name: getattr(cfg, f.name) for f in fields(PlaneSeedSpec)}
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # the mu > 1/2 note is for runs
+        # Each type checks its own settings, apart: none hides another's.
+        for check in (
+            lambda: validate_mass_ratio(cfg.mu),
+            lambda: PlaneSeedSpec(**grid),
+            lambda: DetectorConfig(t_out=cfg.t_out),
+            lambda: to_integrator_options(cfg),
+        ):
+            try:
+                check()
+            except ConfigError as exc:
+                e.extend(exc.errors)
+    for key, allowed in (
+        ("command", _COMMANDS),
+        ("plane", _PLANES),
+        ("formulation", _FORMULATIONS),
+        ("coord_mode", _COORD_MODES),
+    ):
+        if getattr(cfg, key) not in allowed:
+            e.append(f"{key} must be one of {allowed}, got {getattr(cfg, key)!r}")
+    for key in ("workers", "n_returns", "n_p0", "png_scale"):
+        if getattr(cfg, key) < 1:
+            e.append(f"{key} must be >= 1, got {getattr(cfg, key)}")
+    if not (cfg.exclusion_tol >= 0.0):
         e.append(f"exclusion_tol must be >= 0, got {cfg.exclusion_tol}")
-    if cfg.coord_mode not in _COORD_MODES:
-        e.append(f"coord_mode must be one of {_COORD_MODES}, got {cfg.coord_mode!r}")
-    if cfg.bar_m <= 0.0:
+    if not (cfg.bar_m > 0.0):
         e.append(f"bar_m must be positive, got {cfg.bar_m}")
-    if cfg.n_returns < 1:
-        e.append(f"n_returns must be >= 1, got {cfg.n_returns}")
-    if cfg.n_p0 < 1:
-        e.append(f"n_p0 must be >= 1, got {cfg.n_p0}")
-    if cfg.p0_min > cfg.p0_max:
+    if not (cfg.p0_min <= cfg.p0_max):
         e.append(f"need p0_min <= p0_max, got ({cfg.p0_min}, {cfg.p0_max})")
     if cfg.n_p0 > 1 and cfg.p0_min == cfg.p0_max:
         e.append("p0 sweep needs p0_min < p0_max")
     if cfg.curve_samples < 2:
         e.append(f"curve_samples must be >= 2, got {cfg.curve_samples}")
-    if cfg.png_scale < 1:
-        e.append(f"png_scale must be >= 1, got {cfg.png_scale}")
     for r, L in cfg.seeds:
-        if r <= 0.0:
+        if not (r > 0.0):
             e.append(f"seed radius must be positive, got {r}:{L}")
     if cfg.command in ("detect", "section", "lyapunov") and not cfg.seeds:
         e.append(f"command {cfg.command!r} requires at least one seed")

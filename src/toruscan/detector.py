@@ -28,7 +28,7 @@ import functools
 import math
 from dataclasses import dataclass, field as dc_field, replace
 from enum import Enum
-from typing import Callable, NamedTuple
+from typing import Callable
 
 from . import foliation
 from .dynamics import (
@@ -44,6 +44,7 @@ from .dynamics import (
     vector_field,
 )
 from .integrate import (
+    ConfigError,
     DopriDriver,
     FieldSource,
     IntegratorOptions,
@@ -62,6 +63,7 @@ __all__ = [
     "run_general",
     "run_symmetric",
     "run_both",
+    "combine_both",
     "lyapunov_estimate",
 ]
 
@@ -92,7 +94,7 @@ class Formulation(str, Enum):
 
 @dataclass(frozen=True)
 class DetectorConfig:
-    """Timeout, formulation and integrator settings for one detection run."""
+    """Timeout (> 0, NaN fails), formulation and integrator of one run."""
 
     t_out: float = 40.0
     formulation: Formulation = Formulation.GENERAL
@@ -100,8 +102,8 @@ class DetectorConfig:
     compute_lyapunov: bool = False
 
     def __post_init__(self):
-        if self.t_out <= 0.0:
-            raise ValueError(f"t_out must be positive, got {self.t_out}")
+        if not (self.t_out > 0.0):
+            raise ConfigError([f"t_out must be positive, got {self.t_out}"])
 
 
 @dataclass(frozen=True)
@@ -231,21 +233,14 @@ def _make_guard(mu: float, opts: IntegratorOptions):
     return guard
 
 
-class MonitorResult(NamedTuple):
-    """How a monitored run ended.
-
-    status is 'fired', 'timeout', 'collision', 'escape' or 'step-underflow';
-    truncation names what cut the integration short of t_out after or
-    without a detection, and detail carries the step-underflow message.
-    """
-
-    status: str
-    t_detect: float | None
-    n_events: int
-    t_end: float
-    lyapunov: float | None
-    detail: str | None
-    truncation: str | None
+_STATUS_TO_CLASS = {
+    "fired": Classification.NONEXISTENCE,
+    "timeout": Classification.UNDETERMINED,
+    "collision": Classification.COLLISION,
+    "escape": Classification.ESCAPE,
+    # A numerical failure, not a physical outcome: the reason says which.
+    "step-underflow": Classification.UNDETERMINED,
+}
 
 
 def monitor_run(
@@ -253,20 +248,24 @@ def monitor_run(
     y0: tuple,
     t_out: float,
     opts: IntegratorOptions,
+    C: float,
     *,
     g_fn=None,
     qualify_fn=None,
     guard_fn=None,
     want_lyapunov: bool = False,
-) -> MonitorResult:
+    extra: dict | None = None,
+) -> DetectionOutcome:
     """Shared detection loop: integrate, watch sign changes, refine, qualify.
 
     y0 is a state followed by a tangent of the same length.  g_fn maps a
     joint state to (g, scale); g is live where |g| > _ARMING_REL * scale,
     and a live sign change against the last live sign is an event, located
     by refine_event and counted as a detection if qualify_fn accepts it.
-    Returns the status, detection time, event count, reached time and the
-    Lyapunov estimate when requested.
+    Returns the outcome with C, the caller's conserved quantity at the
+    seed.  Its diagnostics give the reached time t_end, what cut the run
+    short of t_out (truncation; with reason and detail for a step underflow
+    before any detection), then the caller's extra entries.
 
     The seed tangent is normalized to unit length before integration: every
     monitored quantity is degree-1 homogeneous in the tangent and the
@@ -298,7 +297,7 @@ def monitor_run(
     def g_value(y):
         return g_fn(y)[0]
 
-    truncation = detail = None
+    diagnostics = {"t_end": 0.0}  # first key; set when the run ends
     while drv.t < t_out:
         try:
             t0, y_start, t1, y1 = drv.step(t_out)
@@ -307,14 +306,15 @@ def monitor_run(
             # the Lyapunov accumulation short.
             if status != "fired":
                 status = "step-underflow"
-            truncation, detail = "step-underflow", str(exc)
+                diagnostics.update(reason=status, detail=str(exc))
+            diagnostics["truncation"] = "step-underflow"
             break
         if guard_fn is not None:
             flag = guard_fn(y_start, y1)
             if flag is not None:
                 if status != "fired":
                     status = flag
-                truncation = flag
+                diagnostics["truncation"] = flag
                 break
         if not detection_done:
             g_new, scale_new = g_fn(y1)
@@ -355,7 +355,17 @@ def monitor_run(
     lyap = None
     if want_lyapunov:
         lyap = _final_lyapunov(drv.y, n, log_accum, drv.t)
-    return MonitorResult(status, t_detect, n_events, drv.t, lyap, detail, truncation)
+    diagnostics["t_end"] = drv.t
+    diagnostics.update(extra or {})
+    return DetectionOutcome(
+        classification=_STATUS_TO_CLASS[status],
+        t_detect=t_detect,
+        q=None if t_detect is None else t_detect / t_out,
+        lyapunov=lyap,
+        n_sign_events=n_events,
+        C=C,
+        diagnostics=diagnostics,
+    )
 
 
 def _tangent_norm(y, n):
@@ -385,59 +395,24 @@ def _singular_outcome(s0, mu, reason) -> DetectionOutcome:
     )
 
 
-_STATUS_TO_CLASS = {
-    "fired": Classification.NONEXISTENCE,
-    "timeout": Classification.UNDETERMINED,
-    "collision": Classification.COLLISION,
-    "escape": Classification.ESCAPE,
-    # A numerical failure, not a physical outcome: the reason says which.
-    "step-underflow": Classification.UNDETERMINED,
-}
-
-
-def _build_outcome(
-    raw: MonitorResult, C: float, t_out: float, extra_diag=None
-) -> DetectionOutcome:
-    classification = _STATUS_TO_CLASS[raw.status]
-    q = None
-    if classification is Classification.NONEXISTENCE:
-        q = raw.t_detect / t_out
-    diagnostics = {"t_end": raw.t_end}
-    if raw.status == "step-underflow":
-        diagnostics["reason"] = "step-underflow"
-        diagnostics["detail"] = raw.detail
-    if raw.truncation:
-        diagnostics["truncation"] = raw.truncation
-    if extra_diag:
-        diagnostics.update(extra_diag)
-    return DetectionOutcome(
-        classification=classification,
-        t_detect=raw.t_detect,
-        q=q,
-        lyapunov=raw.lyapunov,
-        n_sign_events=raw.n_events,
-        C=C,
-        diagnostics=diagnostics,
-    )
-
-
 def _joint_run(s0, mu, cfg, eta0, *, detect, qualify_fn=None, extra=None):
     """monitor_run of the joint system from (s0, eta0) under cfg.
 
     With detect the g monitor watches for events and the Lyapunov estimate
     follows cfg; without it the run only estimates the Lyapunov exponent.
     """
-    raw = monitor_run(
+    return monitor_run(
         joint_field(mu),
         tuple(s0) + tuple(eta0),
         cfg.t_out,
         cfg.integrator,
+        jacobi_constant(s0, mu),
         g_fn=_g_monitor(mu, cfg.integrator.rel_tol) if detect else None,
         qualify_fn=qualify_fn,
         guard_fn=_make_guard(mu, cfg.integrator),
         want_lyapunov=cfg.compute_lyapunov or not detect,
+        extra=extra,
     )
-    return _build_outcome(raw, jacobi_constant(s0, mu), cfg.t_out, extra)
 
 
 def run_general(
@@ -486,13 +461,17 @@ def run_symmetric(s0: State, mu: float, cfg: DetectorConfig) -> DetectionOutcome
 
 def run_both(s0: State, mu: float, cfg: DetectorConfig) -> DetectionOutcome:
     """Run both formulations; nonexistence if either fires (earliest time)."""
-    gen = run_general(s0, mu, cfg)
-    sym = run_symmetric(s0, mu, cfg)
-    fired = [
-        o
-        for o in (sym, gen)
-        if o.classification is Classification.NONEXISTENCE
-    ]
+    return combine_both(run_general(s0, mu, cfg), run_symmetric(s0, mu, cfg))
+
+
+def combine_both(gen: DetectionOutcome, sym: DetectionOutcome) -> DetectionOutcome:
+    """The `both` outcome of one seed (run_both's and the scan's).
+
+    The earliest firing wins; without one, a seed singular for the general
+    formulation alone keeps the symmetric outcome, so `both` never reports
+    less than either formulation.  The diagnostics record both outcomes.
+    """
+    fired = [o for o in (sym, gen) if o.classification is Classification.NONEXISTENCE]
     diag = {
         "general": gen.classification.value,
         "symmetric": sym.classification.value,
@@ -504,8 +483,6 @@ def run_both(s0: State, mu: float, cfg: DetectorConfig) -> DetectionOutcome:
     if fired:
         base = min(fired, key=lambda o: o.t_detect)
     else:
-        # A seed singular for the general formulation alone keeps the
-        # symmetric outcome, so `both` never reports less than symmetric does.
         base = sym if gen.classification is Classification.SINGULAR_SEED else gen
     return replace(base, diagnostics={**base.diagnostics, **diag})
 

@@ -26,7 +26,7 @@ import math
 import warnings
 from typing import Callable, NamedTuple
 
-from .integrate import FieldSource, make_field
+from .integrate import ConfigError, FieldSource, make_field
 
 __all__ = [
     "State",
@@ -85,8 +85,8 @@ class PolarState(NamedTuple):
 
 def validate_mass_ratio(mu: float) -> float:
     """Check the mass ratio; warn above 1/2 (mirrored-system convention)."""
-    if not (0.0 <= mu <= 1.0) or math.isnan(mu):
-        raise ValueError(f"mass ratio must lie in [0, 1], got {mu}")
+    if not (0.0 <= mu <= 1.0):
+        raise ConfigError([f"mass ratio mu must lie in [0, 1], got {mu}"])
     if mu > 0.5:
         warnings.warn(
             f"mass ratio {mu} > 1/2: this is the mirrored system for mu' = {1.0 - mu}",

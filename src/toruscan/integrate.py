@@ -36,6 +36,7 @@ from dataclasses import dataclass
 from typing import Callable, NamedTuple, Sequence
 
 __all__ = [
+    "ConfigError",
     "IntegratorOptions",
     "StepUnderflowError",
     "DopriDriver",
@@ -83,6 +84,14 @@ class StepUnderflowError(RuntimeError):
     """Step size fell below h_min without meeting the error tolerance."""
 
 
+class ConfigError(ValueError):
+    """Every violated rule of a settings type or a configuration."""
+
+    def __init__(self, errors):
+        self.errors = list(errors)
+        super().__init__("; ".join(self.errors))
+
+
 @dataclass(frozen=True)
 class IntegratorOptions:
     """Tolerances, step bounds and termination radii.
@@ -90,7 +99,7 @@ class IntegratorOptions:
     collision_radius and escape_radius give explicit Collision/Escape
     classifications instead of silent step failure near the bodies or
     runaway orbits; renorm_threshold bounds the tangent norm between
-    renormalizations.
+    renormalizations.  Every rule is written so that NaN fails it.
     """
 
     rel_tol: float = 1e-10
@@ -104,16 +113,25 @@ class IntegratorOptions:
     fixed_step: bool = False
 
     def __post_init__(self):
+        e = []
         if not (0.0 < self.h_min <= self.h_init <= self.h_max):
-            raise ValueError(
+            e.append(
                 f"need 0 < h_min <= h_init <= h_max, got "
                 f"({self.h_min}, {self.h_init}, {self.h_max})"
             )
         if not (0.0 < self.rel_tol < 1.0 and self.abs_tol > 0.0):
-            raise ValueError(
+            e.append(
                 f"need 0 < rel_tol < 1 and abs_tol > 0, got "
                 f"({self.rel_tol}, {self.abs_tol})"
             )
+        if not (self.renorm_threshold > 1.0):
+            e.append(f"renorm_threshold must exceed 1, got {self.renorm_threshold}")
+        if not (self.collision_radius >= 0.0):
+            e.append(f"collision_radius must be >= 0, got {self.collision_radius}")
+        if not (self.escape_radius > 0.0):
+            e.append(f"escape_radius must be positive, got {self.escape_radius}")
+        if e:
+            raise ConfigError(e)
 
 
 def _attempt(field, opts, y, k1, h):

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import math
 
-from .detector import DetectionOutcome, _build_outcome, monitor_run
+from .detector import DetectionOutcome, DetectorConfig, monitor_run
 from .integrate import IntegratorOptions
 
 __all__ = ["pendulum_energy", "pendulum_field", "pendulum_detect"]
@@ -53,19 +53,17 @@ def pendulum_detect(
 ) -> DetectionOutcome:
     """Detect nonexistence of rotational invariant circles through (q0, p0).
 
-    The outcome's C field carries the conserved pendulum energy H.
+    t_out and opts (default h_max 0.5) obey ``DetectorConfig``'s rules.  The
+    outcome's C field carries the conserved pendulum energy H.
     """
-    if t_out <= 0.0:
-        raise ValueError(f"t_out must be positive, got {t_out}")
-    if opts is None:
-        opts = IntegratorOptions(rel_tol=1e-10, abs_tol=1e-12, h_max=0.5)
-    raw = monitor_run(
+    cfg = DetectorConfig(t_out, integrator=opts or IntegratorOptions(h_max=0.5))
+    return monitor_run(
         pendulum_field,
         (q0, p0, 0.0, 1.0),
-        t_out,
-        opts,
+        cfg.t_out,
+        cfg.integrator,
+        pendulum_energy(q0, p0),
         g_fn=_g_fn,
         qualify_fn=_qualify,
-        guard_fn=None,
+        extra={"system": "pendulum"},
     )
-    return _build_outcome(raw, pendulum_energy(q0, p0), t_out, {"system": "pendulum"})

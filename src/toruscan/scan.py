@@ -25,10 +25,10 @@ from dataclasses import dataclass, field, replace
 
 from . import __version__
 from .detector import (
-    Classification,
     DetectorConfig,
     Formulation,
     _singular_outcome,
+    combine_both,
     run as run_detector,
 )
 from .dynamics import State, validate_mass_ratio, vector_field
@@ -38,6 +38,7 @@ from .foliation import (
     singularity_curve_distance,
     singularity_function,
 )
+from .integrate import ConfigError
 from .unperturbed import Curve, crossing_boundary, escape_boundary, resonance_curve
 
 __all__ = [
@@ -51,7 +52,7 @@ __all__ = [
 
 @dataclass(frozen=True)
 class PlaneSeedSpec:
-    """Cell-centred uniform grid on one symmetry plane."""
+    """Cell-centred uniform grid on one symmetry plane (NaN fails its rules)."""
 
     plane: Plane
     r_min: float
@@ -63,12 +64,15 @@ class PlaneSeedSpec:
     mu: float
 
     def __post_init__(self):
+        e = []
         if not (0.0 < self.r_min < self.r_max):
-            raise ValueError("need 0 < r_min < r_max")
-        if self.L_min >= self.L_max:
-            raise ValueError("need L_min < L_max")
-        if self.n_r < 2 or self.n_L < 2:
-            raise ValueError("grid counts must be >= 2")
+            e.append(f"need 0 < r_min < r_max, got ({self.r_min}, {self.r_max})")
+        if not (self.L_min < self.L_max):
+            e.append(f"need L_min < L_max, got ({self.L_min}, {self.L_max})")
+        if not (self.n_r >= 2 and self.n_L >= 2):
+            e.append(f"need n_r >= 2 and n_L >= 2, got ({self.n_r}, {self.n_L})")
+        if e:
+            raise ConfigError(e)
 
     def r_values(self) -> list[float]:
         dr = (self.r_max - self.r_min) / self.n_r
@@ -137,8 +141,8 @@ def _classify_cell(spec, cfg, exclusion_tol, r, L):
         if math.sqrt(v.dx**2 + v.dy**2 + v.dvx**2 + v.dvy**2) < exclusion_tol:
             return _singular_outcome(seed, mu, "equilibrium")
     if general_reason is not None:
-        # Singular for the general formulation only: `both` still runs the
-        # symmetric one, so it never finds less than symmetric alone.
+        # Singular for the general formulation only: `both` runs the
+        # symmetric one and combines the two as run_both does.
         cfg = replace(cfg, formulation=Formulation.SYMMETRIC)
     try:
         out = run_detector(seed, mu, cfg)
@@ -147,9 +151,7 @@ def _classify_cell(spec, cfg, exclusion_tol, r, L):
         out.diagnostics["detail"] = repr(exc)
         return out
     if general_reason is not None:
-        out.diagnostics.update(
-            general=Classification.SINGULAR_SEED.value, general_reason=general_reason
-        )
+        out = combine_both(_singular_outcome(seed, mu, general_reason), out)
     return out
 
 

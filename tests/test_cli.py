@@ -270,6 +270,26 @@ class TestFlags:
                 expected.add("--no-" + f.name.replace("_", "-"))
         assert flags == expected
 
+    @pytest.mark.parametrize(
+        "words,key,value",
+        [
+            (["overlays", "--curve-samples", "8", "--L-min", "-1e-3"], "L_min", -1e-3),
+            (["pendulum", "--t-out", "1", "--q0", "-1e-1"], "q0", -0.1),
+            (
+                ["pendulum", "--t-out", "1", "--p0-max", "1", "--p0-min", "-2E-1"],
+                "p0_min",
+                -0.2,
+            ),
+        ],
+    )
+    def test_negative_value_in_exponent_form(self, words, key, value, capsys):
+        # A spaced negative value parses as the joined form and as in a file.
+        code, out, err = run_cli(words, capsys)
+        assert (code, err) == (0, "")
+        assert f"{key} = {value!r}" in out
+        *head, flag, text = words
+        assert run_cli([*head, f"{flag}={text}"], capsys) == (0, out, "")
+
 
 def run_python(*args):
     # The child imports the package under test, installed or not.

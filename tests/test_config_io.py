@@ -1,8 +1,10 @@
 import json
 import math
 import os
+import re
 import struct
 import zlib
+from dataclasses import fields as dataclass_fields
 from pathlib import Path
 
 import pytest
@@ -20,6 +22,7 @@ from toruscan.config import (
     to_plane_spec,
 )
 from toruscan.detector import DetectorConfig, Formulation, _singular_outcome
+from toruscan.dynamics import validate_mass_ratio
 from toruscan.foliation import Plane
 from toruscan.integrate import IntegratorOptions
 from toruscan.output import (
@@ -33,6 +36,7 @@ from toruscan.output import (
     section_csv_text,
     write_text_atomic,
 )
+from toruscan.pendulum import pendulum_detect
 from toruscan.scan import PlaneSeedSpec, assemble_overlays, run_scan
 
 RECIPES = Path(__file__).resolve().parent.parent / "recipes"
@@ -121,6 +125,101 @@ class TestParseAndValidate:
         dcfg = to_detector_config(cfg)
         assert dcfg.formulation is Formulation.SYMMETRIC
         assert dcfg.t_out == 10.0
+
+
+NAN = float("nan")
+GRID = dict(
+    plane=Plane.THETA0, mu=0.1, r_min=0.1, r_max=4.0, n_r=100,
+    L_min=-2.5, L_max=2.5, n_L=100,
+)
+INTEGRATOR_KEYS = {f.name for f in dataclass_fields(IntegratorOptions)}
+
+
+def names(key, messages):
+    """The messages that name key as a word."""
+    return [m for m in messages if re.search(rf"\b{key}\b", m)]
+
+
+def owner_door(key, value):
+    """Build the settings type that owns key's rule, with key set to value."""
+    if key in INTEGRATOR_KEYS:
+        return IntegratorOptions(**{key: value})
+    if key == "t_out":
+        return DetectorConfig(t_out=value)
+    if key == "mu":
+        return validate_mass_ratio(value)
+    return PlaneSeedSpec(**{**GRID, key: value})
+
+
+# One out-of-range value per key of a rule that a settings type owns; every
+# float key is also tried with NaN.
+OWNED = [
+    ("t_out", -1.0),
+    ("rel_tol", 1.5),
+    ("abs_tol", -1e-12),
+    ("h_init", 1.0),
+    ("h_min", 0.0),
+    ("h_max", 1e-4),
+    ("renorm_threshold", 0.5),
+    ("collision_radius", -1.0),
+    ("escape_radius", -1.0),
+    ("r_min", 5.0),
+    ("r_max", 0.05),
+    ("L_min", 3.0),
+    ("L_max", -3.0),
+    ("n_r", 1),
+    ("n_L", 0),
+    ("mu", 1.5),
+]
+OWNED_CASES = OWNED + [(k, NAN) for k, v in OWNED if isinstance(v, float)]
+
+
+class TestOwnedRules:
+    """Each rule is stated by the type that consumes the setting, and
+    make_config reports it with the key named."""
+
+    @pytest.mark.parametrize("key,value", OWNED_CASES)
+    def test_make_config_names_the_key(self, key, value):
+        with pytest.raises(ConfigError) as err:
+            make_config({key: value})
+        assert names(key, err.value.errors), err.value.errors
+
+    @pytest.mark.parametrize("key,value", OWNED_CASES)
+    def test_owning_type_raises(self, key, value):
+        with pytest.raises(ValueError):
+            owner_door(key, value)
+
+    def test_defaults_pass_every_owner(self):
+        for key, _ in OWNED:
+            owner_door(key, getattr(RunConfig(), key))
+
+    @pytest.mark.parametrize("key", ["exclusion_tol", "bar_m", "p0_min", "p0_max"])
+    def test_config_own_rules_refuse_nan(self, key):
+        with pytest.raises(ConfigError) as err:
+            make_config({key: NAN})
+        assert names(key, err.value.errors), err.value.errors
+
+    def test_pendulum_refuses_nan_timeout(self):
+        with pytest.raises(ValueError, match="t_out"):
+            pendulum_detect(0.0, 0.5, t_out=NAN)
+
+    def test_options_check_every_rule_of_their_own(self):
+        with pytest.raises(ValueError) as err:
+            IntegratorOptions(
+                renorm_threshold=0.5, escape_radius=-1.0, collision_radius=NAN
+            )
+        assert len(err.value.errors) == 3
+
+    def test_every_owner_reports_at_once(self):
+        # One key of each owner: the mass ratio, the grid, the detector, the
+        # integrator and the configuration itself.
+        keys = ("mu", "L_min", "t_out", "escape_radius", "bar_m")
+        with pytest.raises(ConfigError) as err:
+            make_config(dict.fromkeys(keys, NAN))
+        errors = err.value.errors
+        assert len(errors) == len(keys)
+        for key in keys:
+            assert len(names(key, errors)) == 1, errors
 
 
 class TestGoldenRecipe:

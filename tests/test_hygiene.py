@@ -3,16 +3,25 @@
 Every imported name is used in its module (or re-exported through
 ``__all__``), every name a module lists in ``__all__`` exists, and every
 private top-level name of a module is referenced by some module of the
-package.
+package.  The README's numbers are the code's: its Defaults table and its
+fixed thresholds.
 """
 
 import ast
 import importlib
+import inspect
+import re
+from dataclasses import asdict
 from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "toruscan"
+from toruscan import detector, foliation, integrate
+from toruscan.config import RunConfig
+
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "toruscan"
+README = (ROOT / "README.md").read_text(encoding="utf-8")
 MODULES = sorted(p.stem for p in SRC.glob("*.py"))
 
 
@@ -131,3 +140,38 @@ def test_detects_an_unreferenced_private_name():
         "_K (line 7)",
         "_f (line 3)",
     ]
+
+
+def _readme_defaults():
+    """{setting: value} from the rows of the README's Defaults table."""
+    section = README.split("## Defaults", 1)[1].split("\n## ", 1)[0]
+    table = {}
+    for row in section.splitlines():
+        if row.startswith("| `"):
+            names, values = row.split("|")[1:3]
+            names = re.findall(r"`(\w+)`", names)
+            values = [float(v) for v in re.findall(r"`([^`]+)`", values)]
+            assert len(names) == len(values), row
+            table.update(zip(names, values))
+    return table
+
+
+def test_readme_defaults_are_the_owners_defaults():
+    owners = {
+        **asdict(integrate.IntegratorOptions()),
+        "t_out": detector.DetectorConfig().t_out,
+        "exclusion_tol": RunConfig().exclusion_tol,
+    }
+    del owners["fixed_step"]
+    assert _readme_defaults() == owners
+
+
+def test_readme_fixed_thresholds_are_the_codes():
+    def number(pattern):
+        return float(re.search(pattern, " ".join(README.split())).group(1))
+
+    tol = inspect.signature(foliation.is_degenerate).parameters["tol"].default
+    assert number(r"exceeds `(\S+) \|eta\|\|xi\|`") == detector._ARMING_REL
+    assert number(r"located in time to `(\S+)` relative") == integrate._TIME_TOL
+    assert number(r"`\|grad H\| <= (\S+)`") == tol
+    assert number(r"below `(\S+)` of its ingredients") == tol

@@ -4,7 +4,7 @@ import warnings
 import pytest
 
 import toruscan.scan as scan
-from toruscan.detector import Classification, DetectorConfig, Formulation
+from toruscan.detector import Classification, DetectorConfig, Formulation, run_both
 from toruscan.dynamics import State, angular_momentum, lagrange_points
 from toruscan.foliation import Plane
 from toruscan.integrate import IntegratorOptions
@@ -193,6 +193,20 @@ class TestBothFormulation:
             assert out.t_detect == pytest.approx(t_sym, abs=0.01)
             assert out.diagnostics["general"] == "SingularSeed"
             assert out.diagnostics["general_reason"] == "parallel-gradients"
+
+    def test_general_singular_cell_has_the_shape_of_run_both(self):
+        # A circular mu = 0 orbit (r = L^2): the scan finds it on the xi
+        # singularity curve, run_both finds parallel gradients; both keep
+        # the symmetric outcome and describe it with the same keys.
+        spec = PlaneSeedSpec(Plane.THETA0, 1.0, 2.0, 2, 0.5, 1.5, 2, 0.0)
+        cfg = DetectorConfig(t_out=10.0, formulation=Formulation.BOTH)
+        cell = _classify_cell(spec, cfg, 1e-3, 1.44, 1.2)
+        direct = run_both(plane_point(Plane.THETA0, 1.44, 1.2, 0.0), 0.0, cfg)
+        assert cell.diagnostics.keys() == direct.diagnostics.keys()
+        assert cell.classification is direct.classification
+        assert cell.t_detect == direct.t_detect
+        assert cell.diagnostics["general"] == "SingularSeed"
+        assert cell.diagnostics["general_reason"] == "xi-singularity-curve"
 
     def test_both_contains_symmetric_and_general_cell_by_cell(self):
         spec = PlaneSeedSpec(Plane.THETA0, 0.1, 4.0, 8, -2.5, 2.5, 8, 0.1)
