@@ -3,7 +3,7 @@ three-body problem: rotating-frame dynamics, the tangent-flow sign test in
 general and time-reversal-symmetric form, symmetry-plane scans with overlay
 curves, surface-of-section return maps and Lyapunov estimates."""
 
-__version__ = "0.1.0"
+__version__ = "0.2.0"
 
 from .detector import (  # noqa: E402
     Classification,

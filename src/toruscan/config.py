@@ -251,9 +251,11 @@ def validate_config(cfg: RunConfig) -> list[str]:
         e.append("p0 sweep needs p0_min < p0_max")
     if cfg.curve_samples < 2:
         e.append(f"curve_samples must be >= 2, got {cfg.curve_samples}")
+    if not math.isfinite(cfg.q0):
+        e.append(f"q0 must be finite, got {cfg.q0}")
     for r, L in cfg.seeds:
-        if not (r > 0.0):
-            e.append(f"seed radius must be positive, got {r}:{L}")
+        if not (0.0 < r < math.inf and math.isfinite(L)):
+            e.append(f"seed radius must be positive and L finite, got {r}:{L}")
     if cfg.command in ("detect", "section", "lyapunov") and not cfg.seeds:
         e.append(f"command {cfg.command!r} requires at least one seed")
     return e

@@ -34,6 +34,8 @@ from . import foliation
 from .dynamics import (
     _GRADIENT,
     _GRADIENT0,
+    _HESSIAN,
+    _HESSIAN0,
     _STATE,
     _TANGENT,
     State,
@@ -49,6 +51,7 @@ from .integrate import (
     FieldSource,
     IntegratorOptions,
     StepUnderflowError,
+    live_points,
     make_function,
     refine_event,
 )
@@ -94,7 +97,7 @@ class Formulation(str, Enum):
 
 @dataclass(frozen=True)
 class DetectorConfig:
-    """Timeout (> 0, NaN fails), formulation and integrator of one run."""
+    """Timeout (positive and finite), formulation and integrator of one run."""
 
     t_out: float = 40.0
     formulation: Formulation = Formulation.GENERAL
@@ -102,8 +105,8 @@ class DetectorConfig:
     compute_lyapunov: bool = False
 
     def __post_init__(self):
-        if not (self.t_out > 0.0):
-            raise ConfigError([f"t_out must be positive, got {self.t_out}"])
+        if not (0.0 < self.t_out < math.inf):
+            raise ConfigError([f"t_out must be positive and finite, got {self.t_out}"])
 
 
 @dataclass(frozen=True)
@@ -144,31 +147,53 @@ def antisymmetric_tangent(s0: State, mu: float) -> TangentVector:
 
 
 # g = omega(eta, xi(s)) and the homogeneity scale |eta||xi|, after the
-# potential gradient (ux, uy).  Both are 0 (never live) where xi is
-# unresolved: grad H vanishes, or grad L is parallel to it to within the
-# integration's accuracy (floor_sq).
+# potential gradient (ux, uy); given the joint derivative k, also dg/dt =
+# omega(k_eta, xi) + omega(eta, dxi/dt), after the Hessian, where xi =
+# grad L - a grad H gives dxi/dt = dgL - da grad H - a dgH (d: d/dt).  All
+# three are 0 (never live) where xi is unresolved: grad H vanishes, or
+# grad L is parallel to it to within the integration's accuracy (floor_sq).
 _G_LINES = (
     "gh2 = ux * ux + uy * uy + vx * vx + vy * vy",
     "if gh2 < 1e-28:",
-    "    return 0.0, 0.0",
+    "    return 0.0, 0.0, 0.0",
     "glx, gly, glvx, glvy = vy + 2.0 * x, -vx + 2.0 * yy, -yy, x",
     "a = (glx * ux + gly * uy + glvx * vx + glvy * vy) / gh2",
     "xix, xiy, xivx, xivy = glx - a * ux, gly - a * uy, glvx - a * vx, glvy - a * vy",
     "xi2 = xix * xix + xiy * xiy + xivx * xivx + xivy * xivy",
     "if xi2 <= floor_sq * (glx * glx + gly * gly + glvx * glvx + glvy * glvy):",
-    "    return 0.0, 0.0",
+    "    return 0.0, 0.0, 0.0",
     "g = ex * xivx - evx * xix + ey * xivy - evy * xiy - 2.0 * (ex * xiy - ey * xix)",
     "scale = sqrt((ex * ex + ey * ey + evx * evx + evy * evy) * xi2)",
+    "if k is None:",
+    "    return g, scale, 0.0",
+    "kx, ky, kvx, kvy, kex, key, kevx, kevy = k",
+)
+_DG_LINES = (
+    "dhx, dhy = uxx * kx + uxy * ky, uxy * kx + uyy * ky",
+    "dlx, dly, dlvx, dlvy = kvy + 2.0 * kx, -kvx + 2.0 * ky, -ky, kx",
+    "da = (dlx * ux + dly * uy + dlvx * vx + dlvy * vy + glx * dhx + gly * dhy"
+    " + glvx * kvx + glvy * kvy - 2.0 * a * (ux * dhx + uy * dhy + vx * kvx"
+    " + vy * kvy)) / gh2",
+    "dxx, dxy = dlx - da * ux - a * dhx, dly - da * uy - a * dhy",
+    "dxvx, dxvy = dlvx - da * vx - a * kvx, dlvy - da * vy - a * kvy",
+    "dg = (kex * xivx - kevx * xix + key * xivy - kevy * xiy"
+    " - 2.0 * (kex * xiy - key * xix) + ex * dxvx - evx * dxx + ey * dxvy"
+    " - evy * dxy - 2.0 * (ex * dxy - ey * dxx))",
 )
 
 
 @functools.cache
-def _g_monitor(mu: float, rel_tol: float) -> Callable[[tuple], tuple[float, float]]:
-    """(g, scale) of a joint state, compiled once per (mu, rel_tol)."""
-    body = (_GRADIENT0 if mu == 0.0 else _GRADIENT) + _G_LINES
+def _g_monitor(mu: float, rel_tol: float):
+    """(y, k=None) -> (g, scale, dg/dt) of a joint state y with derivative
+    k (dg/dt is 0.0 without k), compiled once per (mu, rel_tol)."""
+    if mu == 0.0:
+        body = _GRADIENT0 + _G_LINES + _HESSIAN0 + _DG_LINES
+    else:
+        body = _GRADIENT + _G_LINES + _HESSIAN + _DG_LINES
     return make_function(
-        FieldSource(_STATE + _TANGENT, body, ("g", "scale")),
+        FieldSource(_STATE + _TANGENT, body, ("g", "scale", "dg")),
         f"g monitor, mu={mu!r}",
+        args="y, k=None",
         mu=mu,
         om=1.0 - mu,
         floor_sq=(_XI_FLOOR * rel_tol) ** 2,
@@ -191,10 +216,13 @@ def _make_lambda_qualifier(mu: float) -> Callable[[tuple], bool]:
 def _make_guard(mu: float, opts: IntegratorOptions):
     """Collision / escape guard evaluated on each accepted step.
 
-    Collision checks the full step chord against each massive body so a fast
-    close passage inside the collision radius cannot slip between endpoints.
-    A body with |y1 - b|^2 > 2 (r_col^2 + |w|^2), w the chord, is skipped:
-    then |y1 - b| > r_col + |w|, so no point of the chord is within r_col.
+    Returns None, or the flag with the fraction of the step at which it
+    triggers: escape at the step's end, collision where the chord first
+    comes within the collision radius.  Collision checks the full step
+    chord against each massive body so a fast close passage inside the
+    collision radius cannot slip between endpoints.  A body with |y1 - b|^2
+    > 2 (r_col^2 + |w|^2), w the chord, is skipped: then |y1 - b| > r_col +
+    |w|, so no point of the chord is within r_col.
     """
     bodies = []
     if 1.0 - mu > 0.0:
@@ -207,7 +235,7 @@ def _make_guard(mu: float, opts: IntegratorOptions):
     def guard(y0, y1):
         x1, yy1 = y1[0], y1[1]
         if x1 * x1 + yy1 * yy1 > r_esc_sq:
-            return "escape"
+            return "escape", 1.0
         x0, yy0 = y0[0], y0[1]
         wx, wy = x1 - x0, yy1 - yy0
         w2 = wx * wx + wy * wy
@@ -218,16 +246,21 @@ def _make_guard(mu: float, opts: IntegratorOptions):
                 continue
             px, py = bx - x0, -yy0
             if w2 > 0.0:
-                tt = (px * wx + py * wy) / w2
+                tt = foot = (px * wx + py * wy) / w2
                 if tt < 0.0:
                     tt = 0.0
                 elif tt > 1.0:
                     tt = 1.0
             else:
-                tt = 0.0
+                tt = foot = 0.0
             dx, dy = px - tt * wx, py - tt * wy
             if dx * dx + dy * dy < r_col_sq:
-                return "collision"
+                # Entry: short of the foot of the perpendicular from the body
+                # (at distance f) by sqrt(r_col^2 - f^2) / |w|.
+                fx, fy = px - foot * wx, py - foot * wy
+                short_sq = (r_col_sq - fx * fx - fy * fy) / w2 if w2 > 0.0 else 0.0
+                entry = foot - math.sqrt(short_sq) if short_sq > 0.0 else foot
+                return "collision", entry if entry > 0.0 else 0.0
         return None
 
     return guard
@@ -259,13 +292,17 @@ def monitor_run(
     """Shared detection loop: integrate, watch sign changes, refine, qualify.
 
     y0 is a state followed by a tangent of the same length.  g_fn maps a
-    joint state to (g, scale); g is live where |g| > _ARMING_REL * scale,
-    and a live sign change against the last live sign is an event, located
-    by refine_event and counted as a detection if qualify_fn accepts it.
-    Returns the outcome with C, the caller's conserved quantity at the
-    seed.  Its diagnostics give the reached time t_end, what cut the run
-    short of t_out (truncation; with reason and detail for a step underflow
-    before any detection), then the caller's extra entries.
+    joint state y, and its derivative k when given, to (g, scale, dg/dt); g
+    is live where |g| > _ARMING_REL * scale, and a live sign change against
+    the last live sign is an event, located by refine_event and counted as
+    a detection if qualify_fn accepts it; so are both of a pair of sign
+    changes inside one step (integrate.live_points), in time order.  A step
+    the guard flags is still searched, and an event before the guard's
+    trigger point counts.  Returns the outcome with C, the caller's
+    conserved quantity at the seed.  Its diagnostics give the reached time
+    t_end, what cut the run short of t_out (truncation; with reason and
+    detail for a step underflow before any detection), then the caller's
+    extra entries.
 
     The seed tangent is normalized to unit length before integration: every
     monitored quantity is degree-1 homogeneous in the tangent and the
@@ -287,18 +324,23 @@ def monitor_run(
     thresh_sq = opts.renorm_threshold * opts.renorm_threshold
     joint = n == 4  # sums |eta|^2 as the loop below
 
-    armed = 0
-    armed_t, armed_y = 0.0, y0
-    if g_fn is not None:
-        g0, scale0 = g_fn(y0)
-        if scale0 > 0.0 and abs(g0) > _ARMING_REL * scale0:
-            armed = 1 if g0 > 0.0 else -1
+    def live(y, k=None):
+        g, scale, dg = g_fn(y, k)
+        return (g if scale > 0.0 and abs(g) > _ARMING_REL * scale else 0.0), g, dg
 
     def g_value(y):
         return g_fn(y)[0]
 
+    armed = 0
+    armed_t, armed_y = 0.0, y0
+    if g_fn is not None:
+        drv._k1 = field(y0)  # the first step's k1, read here for dg/dt
+        g_live, g_prev, d_prev = live(y0, drv._k1)
+        armed = (g_live > 0.0) - (g_live < 0.0)
+
     diagnostics = {"t_end": 0.0}  # first key; set when the run ends
     while drv.t < t_out:
+        k0 = drv._k1
         try:
             t0, y_start, t1, y1 = drv.step(t_out)
         except StepUnderflowError as exc:
@@ -309,30 +351,36 @@ def monitor_run(
                 diagnostics.update(reason=status, detail=str(exc))
             diagnostics["truncation"] = "step-underflow"
             break
-        if guard_fn is not None:
-            flag = guard_fn(y_start, y1)
-            if flag is not None:
-                if status != "fired":
-                    status = flag
-                diagnostics["truncation"] = flag
-                break
+        flag = None if guard_fn is None else guard_fn(y_start, y1)
         if not detection_done:
-            g_new, scale_new = g_fn(y1)
-            live = scale_new > 0.0 and abs(g_new) > _ARMING_REL * scale_new
-            if live and armed != 0 and (g_new > 0.0) != (armed > 0):
-                n_events += 1
-                t_star, y_star = refine_event(
-                    field, opts, armed_t, armed_y, t1, g_value
-                )
-                if qualify_fn is None or qualify_fn(y_star):
-                    t_detect = t_star
-                    status = "fired"
-                    detection_done = True
-                    if not want_lyapunov:
+            g_live, g1, d1 = live(y1, drv._k1)
+            ends, (g_prev, d_prev) = (g_prev, d_prev, g1, d1), (g1, d1)
+            for t, y, g in live_points(
+                drv, t0, y_start, k0, ends, g_live, armed, lambda y: live(y)[0]
+            ):
+                if g == 0.0:
+                    continue
+                if armed * g < 0.0:
+                    t_star, y_star = refine_event(
+                        field, opts, armed_t, armed_y, t, g_value
+                    )
+                    if flag is not None and t_star >= t0 + flag[1] * (t1 - t0):
                         break
-            if live:
-                armed = 1 if g_new > 0.0 else -1
-                armed_t, armed_y = t1, y1
+                    n_events += 1
+                    if qualify_fn is None or qualify_fn(y_star):
+                        t_detect = t_star
+                        status = "fired"
+                        detection_done = True
+                        break
+                armed = 1 if g > 0.0 else -1
+                armed_t, armed_y = t, y
+            if detection_done and not want_lyapunov:
+                break
+        if flag is not None:
+            if status != "fired":
+                status = flag[0]
+            diagnostics["truncation"] = flag[0]
+            break
         if joint:
             _, _, _, _, a, b, c, d = y1
             tn_sq = 0.0 + a * a + b * b + c * c + d * d
@@ -351,6 +399,8 @@ def monitor_run(
                 drv._k1 = k1[:n] + tuple(c * inv for c in k1[n:])
             if armed_t == t1:
                 armed_y = y_scaled
+            if not detection_done:
+                g_prev, d_prev = g_prev * inv, d_prev * inv
 
     lyap = None
     if want_lyapunov:

@@ -7,10 +7,11 @@ the velocity form (x, y, vx, vy); polar canonical coordinates are converted
 on demand.
 
 The hot fields, ``flow_field`` and ``joint_field``, are each written once
-as a formula source and compiled into the callable and a DOPRI5 trial step
+as a formula source and compiled into the callable and a DOP853 trial step
 with the body inlined (``integrate.make_field``); a wrapped field steps
 through the call-through kernel with the same results.  The detector's
-g monitor is compiled from the same gradient statements.
+g monitor, with g's time derivative, is compiled from the same gradient
+and Hessian statements.
 ``potential_gradient`` and ``potential_hessian`` stay as the readable oracles.
 
 The rotating-frame Hamiltonian is H = |v|^2/2 + U(x, y) with effective

@@ -1,8 +1,9 @@
 """Adaptive embedded Runge-Kutta propagation of joint (state, tangent) systems.
 
-A Dormand-Prince 5(4) pair drives both the flow and its linearisation as one
-first-order system (8 components for the three-body problem, 4 for the flow
-alone and the pendulum oracle).  The driver supports:
+The Dormand-Prince 8(5,3) pair DOP853 drives both the flow and its
+linearisation as one first-order system (8 components for the three-body
+problem, 4 for the flow alone and the pendulum oracle).  The driver
+supports:
 
 * adaptive steps with the usual error controller, plus a fixed-step mode for
   bit-reproducible runs;
@@ -11,27 +12,32 @@ alone and the pendulum oracle).  The driver supports:
   holding the sign change is integrated again from its stored left state,
   and from the secant root of the observable's values at that step's ends
   the root is bracketed to 1e-11 relative in time on one-substep
-  re-integrations from the step's left state.
+  re-integrations from the step's left state;
+* sign changes inside one accepted step (``live_points``): a cubic
+  Hermite through the observable's values and time derivatives at the
+  step's ends predicts them, and a one-substep re-integration confirms
+  them.
 
-One trial step has a readable reference, ``_attempt`` (generator
-expressions over the components, one per stage), and straight-line kernels
-that one generator writes out from the tableau with either stage body: a
-call of the field (``_attempt_kernel(n)``, per state dimension, for any
-field) or the field's own body inlined at every stage (``make_field``
-compiles a field written once as a ``FieldSource`` into the callable and
-this kernel, as its ``.attempt``; ``make_function`` compiles the callable
-alone).  Every component expression of a kernel
-performs the reference's operations in the reference's order, so its
-``(y_new, k7, err)`` equal the reference's bit for bit.
-``DopriDriver.reset`` picks the field's ``.attempt`` when it has one and
-the call-through kernel otherwise, and ``refine_event`` re-integrates with
-the driver's pick; the tests compare both kernels with the reference.
+One trial step has a readable reference, ``_attempt`` (a loop over the
+tableau's rows), and straight-line kernels that one generator writes out
+from the same rows with either stage body: a call of the field
+(``_attempt_kernel(n)``, per state dimension, for any field) or the field's
+own body inlined at every stage (``make_field`` compiles a field written
+once as a ``FieldSource`` into the callable and this kernel, as its
+``.attempt``; ``make_function`` compiles the callable alone).  Every
+component expression of a kernel performs the reference's operations in the
+reference's order, so its ``(y_new, k13, err)`` equal the reference's bit
+for bit.  ``DopriDriver.reset`` picks the field's ``.attempt`` when it has
+one and the call-through kernel otherwise, and ``refine_event`` and
+``live_points`` re-integrate with the driver's pick; the tests
+compare both kernels with the reference.
 """
 
 from __future__ import annotations
 
 import functools
 import math
+import operator
 from dataclasses import dataclass
 from typing import Callable, NamedTuple, Sequence
 
@@ -44,39 +50,65 @@ __all__ = [
     "make_function",
     "make_field",
     "refine_event",
+    "live_points",
 ]
 
-# Dormand-Prince 5(4) tableau.
-_A21 = 1.0 / 5.0
-_A31, _A32 = 3.0 / 40.0, 9.0 / 40.0
-_A41, _A42, _A43 = 44.0 / 45.0, -56.0 / 15.0, 32.0 / 9.0
-_A51, _A52, _A53, _A54 = (
-    19372.0 / 6561.0,
-    -25360.0 / 2187.0,
-    64448.0 / 6561.0,
-    -212.0 / 729.0,
+# Dormand-Prince 8(5,3) tableau (DOP853; Hairer, Norsett & Wanner, Solving
+# ODEs I, section II.10), as the rows the reference and the kernel generator
+# read: the coefficients of k1, k2, ... in the states at which k2 ... k12 are
+# evaluated, the 8th-order solution's weights and the weights of the 5th- and
+# 3rd-order error estimates, with None for a zero weight.
+# fmt: off
+_STAGE_ROWS = (
+    (5.26001519587677318785587544488e-2,),
+    (1.97250569845378994544595329183e-2, 5.91751709536136983633785987549e-2),
+    (2.95875854768068491816892993775e-2, None, 8.87627564304205475450678981324e-2),
+    (2.41365134159266685502369798665e-1, None, -8.84549479328286085344864962717e-1,
+     9.24834003261792003115737966543e-1),
+    (3.7037037037037037037037037037e-2, None, None,
+     1.70828608729473871279604482173e-1, 1.25467687566822425016691814123e-1),
+    (3.7109375e-2, None, None, 1.70252211019544039314978060272e-1,
+     6.02165389804559606850219397283e-2, -1.7578125e-2),
+    (3.70920001185047927108779319836e-2, None, None,
+     1.70383925712239993810214054705e-1, 1.07262030446373284651809199168e-1,
+     -1.53194377486244017527936158236e-2, 8.27378916381402288758473766002e-3),
+    (6.24110958716075717114429577812e-1, None, None, -3.36089262944694129406857109825,
+     -8.68219346841726006818189891453e-1, 2.75920996994467083049415600797e1,
+     2.01540675504778934086186788979e1, -4.34898841810699588477366255144e1),
+    (4.77662536438264365890433908527e-1, None, None, -2.48811461997166764192642586468,
+     -5.90290826836842996371446475743e-1, 2.12300514481811942347288949897e1,
+     1.52792336328824235832596922938e1, -3.32882109689848629194453265587e1,
+     -2.03312017085086261358222928593e-2),
+    (-9.3714243008598732571704021658e-1, None, None, 5.18637242884406370830023853209,
+     1.09143734899672957818500254654, -8.14978701074692612513997267357,
+     -1.85200656599969598641566180701e1, 2.27394870993505042818970056734e1,
+     2.49360555267965238987089396762, -3.0467644718982195003823669022),
+    (2.27331014751653820792359768449, None, None, -1.05344954667372501984066689879e1,
+     -2.00087205822486249909675718444, -1.79589318631187989172765950534e1,
+     2.79488845294199600508499808837e1, -2.85899827713502369474065508674,
+     -8.87285693353062954433549289258, 1.23605671757943030647266201528e1,
+     6.43392746015763530355970484046e-1),
 )
-_A61, _A62, _A63, _A64, _A65 = (
-    9017.0 / 3168.0,
-    -355.0 / 33.0,
-    46732.0 / 5247.0,
-    49.0 / 176.0,
-    -5103.0 / 18656.0,
-)
-_B1, _B3, _B4, _B5, _B6 = (
-    35.0 / 384.0,
-    500.0 / 1113.0,
-    125.0 / 192.0,
-    -2187.0 / 6784.0,
-    11.0 / 84.0,
-)
-_E1, _E3, _E4, _E5, _E6, _E7 = (
-    71.0 / 57600.0,
-    -71.0 / 16695.0,
-    71.0 / 1920.0,
-    -17253.0 / 339200.0,
-    22.0 / 525.0,
-    -1.0 / 40.0,
+_B_ROW = (5.42937341165687622380535766363e-2, None, None, None, None,
+         4.45031289275240888144113950566, 1.89151789931450038304281599044,
+         -5.8012039600105847814672114227, 3.1116436695781989440891606237e-1,
+         -1.52160949662516078556178806805e-1, 2.01365400804030348374776537501e-1,
+         4.47106157277725905176885569043e-2)
+_E5_ROW = (0.1312004499419488073250102996e-1, None, None, None, None,
+          -0.1225156446376204440720569753e1, -0.4957589496572501915214079952,
+          0.1664377182454986536961530415e1, -0.3503288487499736816886487290,
+          0.3341791187130174790297318841, 0.8192320648511571246570742613e-1,
+          -0.2235530786388629525884427845e-1)
+# fmt: on
+# The 3rd-order estimate's weights are the solution's, less bhh1..bhh3 at
+# k1, k9 and k12.
+_BHH = {
+    0: 0.244094488188976377952755905512,
+    8: 0.733846688281611857341361741547,
+    11: 0.220588235294117647058823529412e-1,
+}
+_E3_ROW = tuple(
+    None if b is None else b - _BHH.get(s, 0.0) for s, b in enumerate(_B_ROW)
 )
 
 
@@ -134,63 +166,43 @@ class IntegratorOptions:
             raise ConfigError(e)
 
 
+def _weighted(row, ks, i):
+    """c1 * k1[i] + c2 * k2[i] + ... over row's nonzero weights, added left
+    to right."""
+    terms = (c * k[i] for c, k in zip(row, ks) if c is not None)
+    return functools.reduce(operator.add, terms)
+
+
 def _attempt(field, opts, y, k1, h):
-    """One trial step from y with derivative k1; returns (y_new, k7, err)."""
-    y2 = tuple(yi + h * _A21 * a for yi, a in zip(y, k1))
-    k2 = field(y2)
-    y3 = tuple(yi + h * (_A31 * a + _A32 * b) for yi, a, b in zip(y, k1, k2))
-    k3 = field(y3)
-    y4 = tuple(
-        yi + h * (_A41 * a + _A42 * b + _A43 * c)
-        for yi, a, b, c in zip(y, k1, k2, k3)
-    )
-    k4 = field(y4)
-    y5 = tuple(
-        yi + h * (_A51 * a + _A52 * b + _A53 * c + _A54 * d)
-        for yi, a, b, c, d in zip(y, k1, k2, k3, k4)
-    )
-    k5 = field(y5)
-    y6 = tuple(
-        yi + h * (_A61 * a + _A62 * b + _A63 * c + _A64 * d + _A65 * e)
-        for yi, a, b, c, d, e in zip(y, k1, k2, k3, k4, k5)
-    )
-    k6 = field(y6)
-    y_new = tuple(
-        yi + h * (_B1 * a + _B3 * c + _B4 * d + _B5 * e + _B6 * f)
-        for yi, a, c, d, e, f in zip(y, k1, k3, k4, k5, k6)
-    )
-    k7 = field(y_new)
+    """One trial step from y with derivative k1; returns (y_new, k13, err).
+
+    k13 is the field at y_new (the next step's k1) and err DOP853's scaled
+    error norm, h |e5|^2 / sqrt(n (|e5|^2 + 0.01 |e3|^2)) with e5 and e3 the
+    5th- and 3rd-order estimates per tolerance scale; 0.0 in fixed-step mode.
+    """
+    def state(row):
+        return tuple(yi + h * _weighted(row, ks, i) for i, yi in enumerate(y))
+
+    ks = [k1]
+    for row in _STAGE_ROWS:
+        ks.append(field(state(row)))
+    y_new = state(_B_ROW)
+    k13 = field(y_new)
     if opts.fixed_step:
-        return y_new, k7, 0.0
+        return y_new, k13, 0.0
     rel, ab = opts.rel_tol, opts.abs_tol
-    err_sq = 0.0
-    for i in range(len(y)):
-        e = h * (
-            _E1 * k1[i]
-            + _E3 * k3[i]
-            + _E4 * k4[i]
-            + _E5 * k5[i]
-            + _E6 * k6[i]
-            + _E7 * k7[i]
-        )
-        sc = ab + rel * max(abs(y[i]), abs(y_new[i]))
-        q = e / sc
-        err_sq += q * q
-    return y_new, k7, math.sqrt(err_sq / len(y))
-
-
-# Rows of the tableau as the kernel generator reads them: the coefficients of
-# k1, k2, ... in the states at which k3 ... k6 are evaluated (k2's state has
-# the single coefficient _A21), the 5th-order solution's weights and the
-# error weights, with None for the zero weight of k2.
-_STAGE_ROWS = (
-    (_A31, _A32),
-    (_A41, _A42, _A43),
-    (_A51, _A52, _A53, _A54),
-    (_A61, _A62, _A63, _A64, _A65),
-)
-_B_ROW = (_B1, None, _B3, _B4, _B5, _B6)
-_E_ROW = (_E1, None, _E3, _E4, _E5, _E6, _E7)
+    e5_sq = e3_sq = 0.0
+    for i, (u, v) in enumerate(zip(y, y_new)):
+        u = u if u >= 0.0 else -u
+        v = v if v >= 0.0 else -v
+        sc = ab + rel * max(u, v)
+        q5 = _weighted(_E5_ROW, ks, i) / sc
+        q3 = _weighted(_E3_ROW, ks, i) / sc
+        e5_sq += q5 * q5
+        e3_sq += q3 * q3
+    if e5_sq == 0.0 and e3_sq == 0.0:
+        return y_new, k13, 0.0
+    return y_new, k13, h * e5_sq / math.sqrt((e5_sq + 0.01 * e3_sq) * len(y))
 
 
 class FieldSource(NamedTuple):
@@ -213,12 +225,12 @@ def _kernel_lines(n: int, source: FieldSource | None = None) -> list:
     """Body of _attempt written out for n-dimensional systems.
 
     Each component keeps the reference's expression and operand order:
-    ``y_i + h * _A21 * k1_i`` (with ``h * _A21`` formed once, as the
-    reference's left-to-right product forms it first), ``y_i + h * (c1 *
-    k1_i + ...)`` for the later stages and the solution, and the error terms
-    summed in component order from 0.0.  ``max(u, v)`` is spelled ``v if
-    v > u else u``, which is how max picks between two values.  Float
-    literals are the constants' reprs, which round-trip exactly.
+    ``y_i + h * (c1 * k1_i + ...)`` for the stages and the solution, each
+    error estimate over the same tolerance scale, and the squares summed in
+    component order from 0.0.  ``|a|`` is spelled ``a if a >= 0.0 else -a``
+    and ``max(u, v)`` ``v if v > u else u``: the floats the builtins give,
+    -0.0 and NaN included, without their calls.  Float literals are the
+    constants' reprs, which round-trip exactly.
 
     Given the field's source, each stage binds its inputs to the stage
     state's components and runs its body in place of the field call.
@@ -243,31 +255,31 @@ def _kernel_lines(n: int, source: FieldSource | None = None) -> list:
             *(f"k{s}_{i} = {c}" for i, c in enumerate(source.outputs)),
         ]
 
-    lines = [
-        f"{names('y')} = y",
-        f"{names('k1')} = k1",
-        f"h21 = h * {_A21!r}",
-        *derivative(2, [f"y_{i} + h21 * k1_{i}" for i in range(n)]),
-    ]
-    for s, row in enumerate(_STAGE_ROWS, start=3):
+    lines = [f"{names('y')} = y", f"{names('k1')} = k1"]
+    for s, row in enumerate(_STAGE_ROWS, start=2):
         lines += derivative(s, stage(row))
     lines.append(f"{names('n')} = y_new = ({tup(stage(_B_ROW))})")
-    lines += derivative(7, [f"n_{i}" for i in range(n)])
+    lines += derivative(13, [f"n_{i}" for i in range(n)])
     lines += [
-        f"k7 = ({names('k7')})",
+        f"k13 = ({names('k13')})",
         "if opts.fixed_step:",
-        "    return y_new, k7, 0.0",
+        "    return y_new, k13, 0.0",
         "rel, ab = opts.rel_tol, opts.abs_tol",
     ]
     for i in range(n):
         lines += [
-            f"u, v = abs(y_{i}), abs(n_{i})",
-            f"q_{i} = h * ({_weighted_sum(_E_ROW, i)}) / (ab + rel * (v if v > u else u))",
+            f"u = y_{i} if y_{i} >= 0.0 else -y_{i}",
+            f"v = n_{i} if n_{i} >= 0.0 else -n_{i}",
+            "sc = ab + rel * (v if v > u else u)",
+            f"p_{i} = ({_weighted_sum(_E5_ROW, i)}) / sc",
+            f"q_{i} = ({_weighted_sum(_E3_ROW, i)}) / sc",
         ]
-    squares = "".join(f" + q_{i} * q_{i}" for i in range(n))
     return lines + [
-        f"err_sq = 0.0{squares}",
-        f"return y_new, k7, sqrt(err_sq / {float(n)!r})",
+        "e5_sq = 0.0" + "".join(f" + p_{i} * p_{i}" for i in range(n)),
+        "e3_sq = 0.0" + "".join(f" + q_{i} * q_{i}" for i in range(n)),
+        "if e5_sq == 0.0 and e3_sq == 0.0:",
+        "    return y_new, k13, 0.0",
+        f"return y_new, k13, h * e5_sq / sqrt((e5_sq + 0.01 * e3_sq) * {float(n)!r})",
     ]
 
 
@@ -285,7 +297,7 @@ def _attempt_kernel(n: int):
     if n < 1:
         raise ValueError(f"state dimension must be positive, got {n}")
     return _compile(
-        "attempt(field, opts, y, k1, h)", _kernel_lines(n), f"dopri5 attempt, n={n}"
+        "attempt(field, opts, y, k1, h)", _kernel_lines(n), f"dop853 attempt, n={n}"
     )
 
 
@@ -293,12 +305,13 @@ def _literals(constants) -> list:
     return [f"{name} = {float(value)!r}" for name, value in constants.items()]
 
 
-def make_function(source: FieldSource, label: str, **constants):
-    """Compile source into ``y -> outputs``, binding each constant to its
-    float literal on entry; the body may return early."""
+def make_function(source: FieldSource, label: str, *, args="y", **constants):
+    """Compile source into ``function(args) -> outputs`` (the inputs unpack
+    the first argument), binding each constant to its float literal on
+    entry; the body may return early."""
     inputs, outputs = ", ".join(source.inputs), ", ".join(source.outputs)
     body = [f"{inputs} = y", *source.body, f"return ({outputs})"]
-    return _compile("function(y)", _literals(constants) + body, label)
+    return _compile(f"function({args})", _literals(constants) + body, label)
 
 
 def make_field(source: FieldSource, label: str, **constants):
@@ -356,11 +369,11 @@ class DopriDriver:
             h_try = rest if rest < h else h
             if h_try <= 0.0:
                 raise ValueError("step() called at or past t_limit")
-            y_new, k7, err = self._attempt(self.field, opts, y0, k1, h_try)
+            y_new, k_new, err = self._attempt(self.field, opts, y0, k1, h_try)
             if err <= 1.0:
-                # min(5, max(0.2, 0.9 err^-0.2)), 5 at err = 0; err <= 1 makes
+                # min(5, max(0.2, 0.9 err^-1/8)), 5 at err = 0; err <= 1 makes
                 # the factor at least 0.9, so the 0.2 floor never binds.
-                growth = 0.9 * err**-0.2 if err != 0.0 else 5.0
+                growth = 0.9 * err**-0.125 if err != 0.0 else 5.0
                 growth = growth if growth < 5.0 else 5.0
                 clipped = h_try < h
                 grown = (h_try if clipped else h) * growth
@@ -371,13 +384,13 @@ class DopriDriver:
                 self.h = grown if grown < opts.h_max else opts.h_max
                 self.t = t0 + h_try
                 self.y = y_new
-                self._k1 = k7
+                self._k1 = k_new
                 return t0, y0, self.t, y_new
             if h_try <= opts.h_min:
                 raise StepUnderflowError(
                     f"step underflow at t = {t0} (scaled error {err:.3g} at h_min)"
                 )
-            shrink = 0.9 * err**-0.2
+            shrink = 0.9 * err**-0.125
             h = h_try * (shrink if shrink > 0.1 else 0.1)
             h = h if h > opts.h_min else opts.h_min
 
@@ -391,31 +404,45 @@ _MAX_ITER = 128
 def _polish(at, t_est, lo, hi):
     """Bracket the root of g along at(t) -> (y, g) to _TIME_TOL*max(1, |t|).
 
-    lo and hi are (t, g, y) on either side of the root.  Each round tries
-    the estimate's two neighbours half a tolerance away, then moves the
-    estimate to the secant root through them.  Returns the (t, y) of the
-    final bracket's end with the smaller |g|.
+    lo and hi are (t, g, y) on either side of the root, and t_est is the
+    secant root through them.  Each later attempt is at the root of the
+    inverse quadratic interpolant through the three points evaluated last
+    (at first the bracket's ends and t_est; the secant through the last two
+    where g values coincide), or at the bracket's midpoint where that root
+    falls outside it.  An estimate within half a tolerance of the point just
+    tried moves to half a tolerance beyond it, on the root's side, so that
+    the next attempt closes the bracket.  Returns the (t, y) of the final
+    bracket's end with the smaller |g|.
     """
     (a, ga, ya), (b, gb, yb) = lo, hi
+    (p, gp), (u, gu) = (a, ga), (b, gb)
+    t = t_est
     for _ in range(_MAX_ITER):
-        half = 0.5 * _TIME_TOL * max(1.0, abs(t_est))
-        tried = []
-        for t in (t_est - half, t_est + half):
-            if a < t < b:
-                y, gt = at(t)
-                if gt == 0.0:
-                    return t, y
-                tried.append((t, gt))
-                if (gt > 0.0) == (ga > 0.0):
-                    a, ga, ya = t, gt, y
-                else:
-                    b, gb, yb = t, gt, y
-        if b - a <= 2.0 * half:
+        tol = _TIME_TOL * max(1.0, abs(t))
+        if b - a <= tol:
             break
-        (u, gu), (v, gv) = tried if len(tried) == 2 else ((a, ga), (b, gb))
-        t_est = u - gu * (v - u) / (gv - gu) if gv != gu else 0.5 * (a + b)
-        if not a < t_est < b:
-            t_est = 0.5 * (a + b)
+        y, gt = at(t)
+        if gt == 0.0:
+            return t, y
+        if (gt > 0.0) == (ga > 0.0):
+            a, ga, ya = t, gt, y
+            ahead = 0.5 * tol
+        else:
+            b, gb, yb = t, gt, y
+            ahead = -0.5 * tol
+        if gp != gu and gp != gt and gu != gt:
+            t_next = (
+                p * gu * gt / ((gp - gu) * (gp - gt))
+                + u * gp * gt / ((gu - gp) * (gu - gt))
+                + t * gp * gu / ((gt - gp) * (gt - gu))
+            )
+        else:
+            t_next = t - gt * (t - u) / (gt - gu) if gt != gu else t + ahead
+        if abs(t_next - t) < 0.5 * tol:
+            t_next = t + ahead
+        (p, gp), (u, gu), t = (u, gu), (t, gt), t_next
+        if not a < t < b:
+            t = 0.5 * (a + b)
     return (a, ya) if abs(ga) <= abs(gb) else (b, yb)
 
 
@@ -467,3 +494,44 @@ def refine_event(
         return y, g_of_y(y)
 
     return _polish(reintegrate, t_est, (t0, g0, y0), (t1, g1, y1))
+
+
+def live_points(drv, t0, y0, k0, ends, end_value, sign, live):
+    """The points of the step the driver just took from (t0, y0) at which a
+    caller that tracks the sign of a watched quantity g reads it.
+
+    The step's end, (drv.t, drv.y, end_value), comes last.  Two sign changes
+    inside one step leave its ends' signs alike, so where the end does not
+    read -sign (sign is the last sign read, 0 for none) a point inside the
+    step where g has the sign -sign comes first, if there is one.  ends
+    holds g and dg/dt at t0 and drv.t, and the cubic Hermite through them
+    predicts g's extremum against sign; only a predicted sign change there
+    is checked, on the one-substep re-integration from (y0, k0) with the
+    driver's kernel, by live(y): g where it counts, 0.0 elsewhere.
+    """
+    points = [(drv.t, drv.y, end_value)]
+    if sign == 0 or sign * end_value < 0.0:
+        return points
+    g0, d0, g1, d1 = ends
+    h = drv.t - t0
+    m0, m1 = h * d0, h * d1
+    # p(s) = g0 + s (m0 + s (c2 + s c3)) for s in [0, 1], extreme where
+    # p'(s) = m0 + 2 c2 s + 3 c3 s^2 vanishes (roots in the stable form).
+    c2 = 3.0 * (g1 - g0) - 2.0 * m0 - m1
+    c3 = 2.0 * (g0 - g1) + m0 + m1
+    disc = c2 * c2 - 3.0 * c3 * m0
+    if not disc >= 0.0:
+        return points
+    q = -(c2 + math.copysign(math.sqrt(disc), c2))
+    best, s_best = 0.0, None
+    for s in (q / (3.0 * c3) if c3 != 0.0 else -1.0, m0 / q if q != 0.0 else -1.0):
+        if 0.0 < s < 1.0:
+            p = sign * (g0 + s * (m0 + s * (c2 + s * c3)))
+            if p < best:
+                best, s_best = p, s
+    if s_best is None:
+        return points
+    t = t0 + s_best * h
+    y = drv._attempt(drv.field, drv.opts, y0, k0, t - t0)[0]
+    g = live(y)
+    return [(t, y, g), *points] if sign * g < 0.0 else points

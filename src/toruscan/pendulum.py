@@ -19,7 +19,7 @@ from __future__ import annotations
 import math
 
 from .detector import DetectionOutcome, DetectorConfig, monitor_run
-from .integrate import IntegratorOptions
+from .integrate import ConfigError, IntegratorOptions
 
 __all__ = ["pendulum_energy", "pendulum_field", "pendulum_detect"]
 
@@ -35,10 +35,11 @@ def pendulum_field(y):
     return (p, -math.sin(q), ep, -math.cos(q) * eq)
 
 
-def _g_fn(y):
-    # g = eta_q; the homogeneity scale is |eta| since |xi| = 1.
+def _g_fn(y, k=None):
+    # g = eta_q, with dg/dt = k's eta_q component; the homogeneity scale is
+    # |eta| since |xi| = 1.
     eq, ep = y[2], y[3]
-    return eq, math.hypot(eq, ep)
+    return eq, math.hypot(eq, ep), 0.0 if k is None else k[2]
 
 
 def _qualify(y):
@@ -53,9 +54,12 @@ def pendulum_detect(
 ) -> DetectionOutcome:
     """Detect nonexistence of rotational invariant circles through (q0, p0).
 
-    t_out and opts (default h_max 0.5) obey ``DetectorConfig``'s rules.  The
+    The seed must be finite, and t_out and opts (default h_max 0.5) obey
+    ``DetectorConfig``'s rules; ConfigError lists what breaks them.  The
     outcome's C field carries the conserved pendulum energy H.
     """
+    if not (math.isfinite(q0) and math.isfinite(p0)):
+        raise ConfigError([f"pendulum seed must be finite, got ({q0}, {p0})"])
     cfg = DetectorConfig(t_out, integrator=opts or IntegratorOptions(h_max=0.5))
     return monitor_run(
         pendulum_field,

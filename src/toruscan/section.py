@@ -21,7 +21,12 @@ from .dynamics import (
     validate_mass_ratio,
     vector_field,
 )
-from .integrate import DopriDriver, StepUnderflowError, refine_event
+from .integrate import (
+    DopriDriver,
+    StepUnderflowError,
+    live_points,
+    refine_event,
+)
 
 __all__ = [
     "SectionCrossing",
@@ -60,13 +65,19 @@ class ReturnMapResult:
 
 def radial_momentum_rate(s: State, mu: float) -> float:
     """d(p_r)/dt along the flow, analytic."""
-    x, y, vx, vy = s
-    r = math.hypot(x, y)
-    if r == 0.0:
+    if s[0] == 0.0 and s[1] == 0.0:
         raise ValueError("radial momentum rate undefined at the origin")
-    v = vector_field(s, mu)
-    p_r = (x * vx + y * vy) / r
-    return (vx * vx + vy * vy + x * v.dvx + y * v.dvy) / r - p_r * p_r / r
+    return _p_r_rate(s, vector_field(s, mu))
+
+
+def _p_r_rate(y, k):
+    """d(p_r)/dt at y from its time derivative k; 0.0 at the origin."""
+    (x, yy, vx, vy), (kx, ky, kvx, kvy) = y, k
+    r2 = x * x + yy * yy
+    if r2 == 0.0:
+        return 0.0
+    dot = kx * vx + x * kvx + ky * vy + yy * kvy
+    return (dot - (x * vx + yy * vy) * (x * kx + yy * ky) / r2) / math.sqrt(r2)
 
 
 def return_map(
@@ -75,8 +86,11 @@ def return_map(
     """Successive downward crossings of p_r = 0 from one seed.
 
     Sign changes of p_r between accepted steps are located by
-    integrate.refine_event; crossings with dp_r/dt <= -tangency tolerance
-    are accepted, near-tangent ones are counted as ambiguous and excluded.
+    integrate.refine_event, and pairs of them inside one step are found by
+    integrate.live_points; crossings with dp_r/dt <= -tangency
+    tolerance are accepted, near-tangent ones are counted as ambiguous and
+    excluded.  A step the guard flags is still searched, and a crossing
+    before the guard's trigger point counts.
     """
     validate_mass_ratio(mu)
     if n_returns < 1:
@@ -93,14 +107,19 @@ def return_map(
             return 0.0
         return (x * vx + yy * vy) / r
 
+    def live(y):
+        p_r = p_r_of(y)
+        return p_r if abs(p_r) > 1e-12 else 0.0
+
     result = ReturnMapResult()
-    sign_prev = 0
-    g_prev = p_r_of(tuple(s0))
-    if abs(g_prev) > 1e-12:
-        sign_prev = 1 if g_prev > 0.0 else -1
-    prev_t, prev_y = 0.0, tuple(s0)
+    drv._k1 = field_fn(drv.y)  # the first step's k1, read here for the rate
+    g_prev, d_prev = p_r_of(drv.y), _p_r_rate(drv.y, drv._k1)
+    g_live = live(drv.y)
+    sign_prev = (g_live > 0.0) - (g_live < 0.0)
+    prev_t, prev_y = 0.0, drv.y
 
     while drv.t < cfg.t_out:
+        k0 = drv._k1
         try:
             t0, y0, t1, y1 = drv.step(cfg.t_out)
         except StepUnderflowError:
@@ -108,26 +127,25 @@ def return_map(
             result.t_end = drv.t
             return result
         flag = guard(y0, y1)
-        if flag is not None:
-            result.status = flag
-            result.t_end = t1
-            return result
-        g_new = p_r_of(y1)
-        if abs(g_new) > 1e-12:
-            sign_new = 1 if g_new > 0.0 else -1
-            if sign_prev > 0 and sign_new < 0:
-                t_star, y_star = refine_event(
-                    field_fn, opts, prev_t, prev_y, t1, p_r_of
-                )
+        g1, d1 = p_r_of(y1), _p_r_rate(y1, drv._k1)
+        ends, (g_prev, d_prev) = (g_prev, d_prev, g1, d1), (g1, d1)
+        g_live = g1 if abs(g1) > 1e-12 else 0.0
+        for t, y, g in live_points(drv, t0, y0, k0, ends, g_live, sign_prev, live):
+            if g == 0.0:
+                continue
+            if sign_prev > 0 and g < 0.0:
+                t_star, y_star = refine_event(field_fn, opts, prev_t, prev_y, t, p_r_of)
+                if flag is not None and t_star >= t0 + flag[1] * (t1 - t0):
+                    break
                 s_star = State(*y_star)
-                rate = radial_momentum_rate(s_star, mu)
-                if rate <= -_TANGENCY_TOL:
+                rate_star = radial_momentum_rate(s_star, mu)
+                if rate_star <= -_TANGENCY_TOL:
                     result.crossings.append(
                         SectionCrossing(
                             t=t_star,
                             s=s_star,
                             polar=polar(s_star),
-                            dp_r_dt=rate,
+                            dp_r_dt=rate_star,
                         )
                     )
                     if len(result.crossings) >= n_returns:
@@ -136,8 +154,12 @@ def return_map(
                         return result
                 else:
                     result.n_ambiguous += 1
-            sign_prev = sign_new
-            prev_t, prev_y = t1, y1
+            sign_prev = 1 if g > 0.0 else -1
+            prev_t, prev_y = t, y
+        if flag is not None:
+            result.status = flag[0]
+            result.t_end = t1
+            return result
 
     result.t_end = drv.t
     result.status = "timeout" if result.crossings else "no-return"

@@ -307,7 +307,7 @@ class TestEntryPoint:
     def test_module_invocation(self):
         proc = run_python("-m", "toruscan.cli", "--version")
         assert proc.returncode == 0
-        assert proc.stdout.strip() == "0.1.0"
+        assert proc.stdout.strip() == "0.2.0"
 
     def test_import_does_not_load_numpy(self):
         proc = run_python(

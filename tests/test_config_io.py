@@ -203,6 +203,30 @@ class TestOwnedRules:
         with pytest.raises(ValueError, match="t_out"):
             pendulum_detect(0.0, 0.5, t_out=NAN)
 
+    def test_detector_refuses_infinite_timeout(self):
+        # A run on a torus would never end.
+        with pytest.raises(ConfigError, match="t_out"):
+            DetectorConfig(t_out=math.inf)
+        with pytest.raises(ConfigError) as err:
+            make_config({"t_out": math.inf})
+        assert names("t_out", err.value.errors), err.value.errors
+
+    def test_config_refuses_nan_q0(self):
+        with pytest.raises(ConfigError) as err:
+            make_config({"command": "pendulum", "q0": NAN})
+        assert names("q0", err.value.errors), err.value.errors
+
+    @pytest.mark.parametrize("seed", [(1.5, NAN), (NAN, 0.5), (math.inf, 0.5)])
+    def test_config_refuses_non_finite_seed(self, seed):
+        with pytest.raises(ConfigError, match="seed"):
+            make_config({"command": "detect", "seeds": (seed,)})
+
+    @pytest.mark.parametrize("q0, p0", [(NAN, 0.5), (0.0, NAN), (math.inf, 0.5)])
+    def test_pendulum_refuses_non_finite_seed(self, q0, p0):
+        # ConfigError, never a step-underflow outcome for an invalid input.
+        with pytest.raises(ConfigError, match="seed"):
+            pendulum_detect(q0, p0, t_out=5.0)
+
     def test_options_check_every_rule_of_their_own(self):
         with pytest.raises(ValueError) as err:
             IntegratorOptions(

@@ -14,6 +14,7 @@ from toruscan.detector import (
     _make_guard,
     antisymmetric_tangent,
     lyapunov_estimate,
+    monitor_run,
     run,
     run_both,
     run_general,
@@ -30,9 +31,10 @@ from toruscan.dynamics import (
     symplectic_form,
     vector_field,
 )
+from toruscan.config import parse_config, to_detector_config, to_plane_spec
 from toruscan.foliation import Plane, evaluate
 from toruscan.integrate import DopriDriver, IntegratorOptions
-from toruscan.scan import plane_point
+from toruscan.scan import _classify_cell, plane_point
 
 from conftest import random_states
 
@@ -306,7 +308,8 @@ class TestGMonitor:
         g_fn = _g_monitor(mu, IntegratorOptions().rel_tol)
         for s in random_states(rng, 40, avoid_mu=mu):
             eta = tuple(float(c) for c in rng.normal(size=4))
-            g, scale = g_fn(tuple(s) + eta)
+            g, scale, dg = g_fn(tuple(s) + eta)
+            assert dg == 0.0  # no derivative given
             xi = evaluate(s, mu).xi
             ref_scale = math.sqrt(sum(c * c for c in eta) * sum(c * c for c in xi))
             assert scale == pytest.approx(ref_scale, rel=1e-13)
@@ -324,7 +327,27 @@ class TestGMonitor:
     )
     def test_unresolved_xi_is_never_live(self, mu, s):
         g_fn = _g_monitor(mu, IntegratorOptions().rel_tol)
-        assert g_fn(tuple(s) + (0.3, -0.2, 0.5, 0.1)) == (0.0, 0.0)
+        y = tuple(s) + (0.3, -0.2, 0.5, 0.1)
+        assert g_fn(y) == (0.0, 0.0, 0.0)
+        assert g_fn(y, joint_field(mu)(y)) == (0.0, 0.0, 0.0)
+
+    @pytest.mark.parametrize("mu", [0.0, 0.1, 0.3])
+    def test_time_derivative_matches_central_difference(self, rng, mu):
+        # dg/dt from (y, k) against g's central difference along the flow,
+        # on one-substep integrations a small time either side.
+        field, opts = joint_field(mu), IntegratorOptions(rel_tol=1e-13, abs_tol=1e-15)
+        g_fn = _g_monitor(mu, IntegratorOptions().rel_tol)
+        drv = DopriDriver(field, opts)
+        eps = 1e-5
+        for s in random_states(rng, 20, avoid_mu=mu):
+            y = tuple(s) + tuple(float(c) for c in rng.normal(size=4))
+            k = field(y)
+            g, scale, dg = g_fn(y, k)
+            assert (g, scale) == g_fn(y)[:2]
+            ahead = drv._attempt(field, opts, y, k, eps)[0]
+            behind = drv._attempt(field, opts, y, k, -eps)[0]
+            fd = (g_fn(ahead)[0] - g_fn(behind)[0]) / (2.0 * eps)
+            assert dg == pytest.approx(fd, rel=1e-6, abs=1e-6 * scale)
 
 
 class TestGuard:
@@ -334,12 +357,16 @@ class TestGuard:
         # chord passes through it.
         y0 = (0.85, 0.05, 0.0, 0.0)
         y1 = (0.95, -0.05, 0.0, 0.0)
-        assert guard(y0, y1) == "collision"
+        flag, entry = guard(y0, y1)
+        assert flag == "collision"
+        # The chord of length 0.1 sqrt(2) reaches the body halfway along and
+        # the collision radius 1e-3 / |chord| of the step before.
+        assert entry == pytest.approx(0.5 - 1e-3 / (0.1 * math.sqrt(2.0)), rel=1e-12)
         assert guard(y0, (0.85, 0.2, 0.0, 0.0)) is None
 
     def test_escape_radius(self):
         guard = _make_guard(0.1, IntegratorOptions(escape_radius=5.0))
-        assert guard((1, 0, 0, 0), (5.1, 0.0, 0.0, 0.0)) == "escape"
+        assert guard((1, 0, 0, 0), (5.1, 0.0, 0.0, 0.0)) == ("escape", 1.0)
 
     @staticmethod
     def _chord_distance(b, p, q):
@@ -375,10 +402,95 @@ class TestGuard:
                 if abs(d - r_col) <= 1e-9 * r_col:
                     continue  # a tie within rounding decides nothing
                 expected = "collision" if d < r_col else None
-                got = guard((*p, 0.0, 0.0), (*q, 0.0, 0.0))
+                flagged = guard((*p, 0.0, 0.0), (*q, 0.0, 0.0))
+                got = None if flagged is None else flagged[0]
                 assert got == expected, (p, q, d)
                 verdicts[got] += 1
         assert min(verdicts.values()) > 20_000
+
+
+class TestInStepSignChanges:
+    """Two sign changes of g inside one accepted step are both events."""
+
+    # A clock x' = 1 with a constant tangent; g = (x - C)^2 - W^2 is negative
+    # only on (C - W, C + W), inside the step [0.431, 0.531] that the
+    # driver takes at h_max = 0.1 on this error-free field.
+    C, W = 0.5, 1e-3
+
+    @staticmethod
+    def field(y):
+        return (1.0, 0.0)
+
+    def g_fn(self, y, k=None):
+        d = y[0] - self.C
+        return d * d - self.W * self.W, 1.0, 0.0 if k is None else 2.0 * d * k[0]
+
+    def run(self, qualify_fn=None):
+        return monitor_run(
+            self.field, (0.0, 1.0), 2.0, IntegratorOptions(), 0.0,
+            g_fn=self.g_fn, qualify_fn=qualify_fn,
+        )
+
+    def test_both_ends_of_the_dip_lie_in_one_step(self):
+        drv = DopriDriver(self.field, IntegratorOptions()).reset(0.0, (0.0, 1.0))
+        t0 = t1 = 0.0
+        while t1 < self.C:
+            t0, _, t1, _ = drv.step(2.0)
+        assert t0 < self.C - self.W and self.C + self.W < t1
+
+    def test_first_crossing_fires(self):
+        out = self.run()
+        assert out.classification is Classification.NONEXISTENCE
+        assert out.t_detect == pytest.approx(self.C - self.W, abs=1e-10)
+        assert out.n_sign_events == 1
+
+    def test_both_crossings_are_qualified_in_time_order(self):
+        seen = []
+
+        def qualify(y):
+            seen.append(y[0])
+            return y[0] > self.C
+
+        out = self.run(qualify)
+        assert seen == [pytest.approx(self.C - self.W), pytest.approx(self.C + self.W)]
+        assert out.t_detect == pytest.approx(self.C + self.W, abs=1e-10)
+        assert out.n_sign_events == 2
+
+
+def _reference_cell(recipe, i, j, rel_tol=1e-10):
+    """Cell (i, j) of a 100 x 100 reference recipe, as the scan classifies it."""
+    with open(f"recipes/{recipe}.cfg", encoding="utf-8") as fh:
+        rc = parse_config(fh.read())
+    spec, cfg = to_plane_spec(rc), to_detector_config(rc)
+    cfg = replace(cfg, integrator=replace(cfg.integrator, rel_tol=rel_tol))
+    r, L = spec.r_values()[i], spec.L_values()[j]
+    return _classify_cell(spec, cfg, rc.exclusion_tol, r, L)
+
+
+class TestReferenceCells:
+    """Reference-grid cells whose events fall inside one step or on the step
+    the guard flags; t_detect as located at rel_tol 1e-10 and 1e-12."""
+
+    @pytest.mark.parametrize(
+        "recipe, cell, t_detect",
+        [
+            # g/scale dips to -6e-6 for ~1e-4 in time inside one step.
+            ("scan_mu01_symmetric", (75, 54), 6.0145402674),
+            # The sign change falls on the step flagged as a collision.
+            ("scan_mu01_symmetric", (72, 50), 5.5947046210),
+            # Step ends read g/scale 0.07 and 0.04 around the crossing.
+            ("scan_mu01_symmetric", (22, 44), 0.4661616300),
+            # A crossing that end-only sign tests stepped over at rel_tol 1e-10.
+            ("scan_mu01_symmetric", (22, 59), 0.2524877339),
+            # Fired at 6.905 at rel_tol 1e-10 and at 5.641 at 1e-12.
+            ("scan_mu01_reference", (72, 47), 5.6405856868),
+        ],
+    )
+    def test_fires_where_the_crossing_is(self, recipe, cell, t_detect):
+        for rel_tol in (1e-10, 1e-12):
+            out = _reference_cell(recipe, *cell, rel_tol=rel_tol)
+            assert out.classification is Classification.NONEXISTENCE
+            assert out.t_detect == pytest.approx(t_detect, abs=1e-6)
 
 
 class TestOutcomeInvariants:

@@ -6,6 +6,10 @@ import pytest
 
 from toruscan.dynamics import State, flow_field, hamiltonian, joint_field
 from toruscan.integrate import (
+    _B_ROW,
+    _E3_ROW,
+    _E5_ROW,
+    _STAGE_ROWS,
     DopriDriver,
     IntegratorOptions,
     StepUnderflowError,
@@ -79,6 +83,80 @@ class TestAdaptiveStepping:
             drv = drive_to(joint_field(0.1), y0, 3.0, opts)
             runs.append(drv.y)
         assert runs[0] == runs[1]
+
+
+def _dense(row, size):
+    """row with its zero weights as 0.0, padded with zeros to size."""
+    return [0.0 if c is None else c for c in row] + [0.0] * (size - len(row))
+
+
+class TestDop853Tableau:
+    """The tableau and the step against scipy's DOP853."""
+
+    def test_literals_equal_scipy_coefficients(self):
+        coef = pytest.importorskip("scipy.integrate._ivp.dop853_coefficients")
+        assert len(_STAGE_ROWS) == coef.N_STAGES - 1
+        for s, row in enumerate(_STAGE_ROWS, start=1):
+            assert _dense(row, coef.N_STAGES_EXTENDED) == coef.A[s].tolist()
+        assert _dense(_B_ROW, coef.N_STAGES) == coef.B.tolist()
+        assert _dense(_E5_ROW, coef.N_STAGES + 1) == coef.E5.tolist()
+        assert _dense(_E3_ROW, coef.N_STAGES + 1) == coef.E3.tolist()
+
+    @pytest.mark.parametrize("n", [2, 4, 8])
+    def test_step_matches_scipy_rk_step(self, n):
+        rk = pytest.importorskip("scipy.integrate._ivp.rk")
+        field = TestAttemptKernel.FIELDS[n]
+        rng = random.Random(20261020 + n)
+        for _ in range(50):
+            y = tuple(rng.uniform(0.3, 2.0) for _ in range(n))
+            h = rng.uniform(1e-3, 1e-1)
+            k1 = field(y)
+            y_new, k13, _ = _attempt(field, IntegratorOptions(), y, k1, h)
+            y_ref, f_ref = rk.rk_step(
+                lambda t, u: np.array(field(tuple(u))),
+                0.0,
+                np.array(y),
+                np.array(k1),
+                h,
+                rk.DOP853.A,
+                rk.DOP853.B,
+                rk.DOP853.C,
+                np.empty((rk.DOP853.n_stages + 1, n)),
+            )
+            assert np.allclose(y_new, y_ref, rtol=1e-14, atol=0.0)
+            assert np.allclose(k13, f_ref, rtol=1e-13, atol=1e-15)
+
+    @pytest.mark.parametrize("n", [1, 4, 8])
+    def test_error_norm_matches_scipy_formula(self, n):
+        # Scripted stage derivatives, so that the estimates are sums without
+        # cancellation and the norm's formula alone is compared.
+        rk = pytest.importorskip("scipy.integrate._ivp.rk")
+        rng = random.Random(20261021 + n)
+        opts = IntegratorOptions(rel_tol=1e-6, abs_tol=1e-8)
+        for _ in range(100):
+            ks = [tuple(rng.uniform(-3.0, 3.0) for _ in range(n)) for _ in range(13)]
+            scripted = iter(ks[1:])
+            y = tuple(rng.uniform(-2.0, 2.0) for _ in range(n))
+            h = rng.uniform(1e-3, 1e-1)
+            y_new, _, err = _attempt(lambda u: next(scripted), opts, y, ks[0], h)
+            scale = opts.abs_tol + opts.rel_tol * np.maximum(np.abs(y), np.abs(y_new))
+            err_ref = rk.DOP853._estimate_error_norm(rk.DOP853, np.array(ks), h, scale)
+            assert err == pytest.approx(err_ref, rel=1e-12)
+
+    def test_global_error_falls_by_more_than_2_to_the_7_per_halving(self):
+        # Fixed steps over about one period of a nonlinear oscillation,
+        # against a run with a sixty-fourth of the largest step.
+        def final(h):
+            opts = IntegratorOptions(fixed_step=True, h_init=h, h_max=h)
+            return drive_to(pendulum_like_field, (2.5, 0.0), 8.0, opts).y
+
+        exact = final(1.0 / 512.0)
+        errors = [
+            max(abs(a - b) for a, b in zip(final(h), exact))
+            for h in (1.0 / 2.0, 1.0 / 4.0, 1.0 / 8.0)
+        ]
+        for coarse, fine in zip(errors, errors[1:]):
+            assert coarse / fine > 2.0**7
 
 
 def pendulum_like_field(y):
@@ -161,7 +239,7 @@ class TestFusedKernel:
 
     def test_counting_wrapper_steps_through_call_through_kernel(self):
         # A field wrapped the way a tracer wraps it has no fused kernel; its
-        # trajectory is the fused one and it is called 6 times per attempt,
+        # trajectory is the fused one and it is called 12 times per attempt,
         # plus once for the first step's derivative.
         field = joint_field(0.1)
         calls = [0]
@@ -187,7 +265,7 @@ class TestFusedKernel:
             assert wrapped.step(50.0) == fused.step(50.0)
             assert wrapped.h == fused.h
         assert attempts[0] > 200  # the trajectory has rejected attempts
-        assert calls[0] == 6 * attempts[0] + 1
+        assert calls[0] == 12 * attempts[0] + 1
 
 
 def reference_controller(opts, h, rest, errs):
@@ -198,14 +276,14 @@ def reference_controller(opts, h, rest, errs):
         tried.append(h_try)
         if err <= 1.0:
             clipped = h_try < h
-            growth = 5.0 if err == 0.0 else min(5.0, max(0.2, 0.9 * err**-0.2))
+            growth = 5.0 if err == 0.0 else min(5.0, max(0.2, 0.9 * err**-0.125))
             grown = (h_try if clipped else h) * growth
             if clipped:
                 grown = max(grown, h)
             return tried, min(opts.h_max, max(opts.h_min, grown))
         if h_try <= opts.h_min:
             return tried, None
-        h = max(opts.h_min, h_try * max(0.1, 0.9 * err**-0.2))
+        h = max(opts.h_min, h_try * max(0.1, 0.9 * err**-0.125))
     raise AssertionError("scripted errors ran out")
 
 

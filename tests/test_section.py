@@ -6,8 +6,9 @@ import pytest
 from toruscan.detector import DetectorConfig
 from toruscan.dynamics import State, jacobi_constant, polar
 from toruscan.foliation import Plane, singularity_function
-from toruscan.integrate import IntegratorOptions
+from toruscan.integrate import DopriDriver, IntegratorOptions
 from toruscan.scan import plane_point
+import toruscan.section as section
 from toruscan.section import radial_momentum_rate, return_map
 from toruscan.unperturbed import elements_from_state
 
@@ -108,6 +109,64 @@ class TestReturnMap:
     def test_rejects_bad_count(self):
         with pytest.raises(ValueError):
             return_map(State(1.5, 0, 0, 0.2), 0.1, 0, DetectorConfig())
+
+
+class TestInStepCrossings:
+    """Downward crossings whose return lies inside the same accepted step."""
+
+    # x(t) = 1 + V t + A sin(W t) on y = EPS t: p_r ~ dx/dt dips below 0 for
+    # about 1.3e-3 in time once per period, within single steps.  y is a
+    # clock that keeps the field autonomous; EPS leaves p_r's zeros where
+    # dx/dt's are to ~1e-12.
+    V, W, A, EPS = 1.0, 50.0, 1.0005 / 50.0, 1e-6
+
+    def field(self, s):
+        x, y, vx, vy = s
+        return (vx, vy, -self.W * self.W * (x - 1.0 - (self.V / self.EPS) * y), 0.0)
+
+    def rate(self, s, mu):
+        x, y, vx, vy = s
+        ax = self.field(s)[2]
+        r = math.hypot(x, y)
+        p_r = (x * vx + y * vy) / r
+        return (vx * vx + vy * vy + x * ax) / r - p_r * p_r / r
+
+    def crossings(self, t_out):
+        """The downward zeros of dx/dt = V + A W cos(W t) before t_out."""
+        phi = math.acos(-self.V / (self.A * self.W))
+        times, k = [], 0
+        while (phi + 2.0 * math.pi * k) / self.W < t_out:
+            times.append((phi + 2.0 * math.pi * k) / self.W)
+            k += 1
+        return times
+
+    def test_every_return_is_found(self, monkeypatch):
+        s0 = State(1.0, 0.0, self.V + self.A * self.W, self.EPS)
+        # Past the first steps each dip lies inside one accepted step, which
+        # the step ends alone would not show.
+        drv = DopriDriver(self.field, IntegratorOptions()).reset(0.0, tuple(s0))
+        expected = self.crossings(1.0)
+        inside = 0
+        while drv.t < 1.0:
+            t0, y0, t1, y1 = drv.step(1.0)
+            if any(t0 < t < t1 for t in expected):
+                inside += y0[2] > 0.0 and y1[2] > 0.0
+        assert len(expected) == 8 and inside >= 6
+        monkeypatch.setattr(section, "flow_field", lambda mu: self.field)
+        monkeypatch.setattr(section, "radial_momentum_rate", self.rate)
+        res = return_map(s0, 0.0, 100, DetectorConfig(t_out=1.0))
+        assert res.status == "timeout" and res.n_ambiguous == 0
+        assert [c.t for c in res.crossings] == pytest.approx(expected, abs=1e-9)
+
+    def test_return_inside_one_step_of_a_reference_orbit(self):
+        # The mu = 0.1, C = 3.8 orbit from (r, L) below: near t = 187.0831
+        # p_r dips below 0 between step ends reading +5.1e-3 and +8.7e-5.
+        s0 = plane_point(Plane.THETA0, 0.30906396748699805, -0.21879257061005758, 0.1)
+        res = return_map(s0, 0.1, 1000, DetectorConfig(t_out=200.0))
+        assert res.status == "timeout"
+        assert len(res.crossings) == 350
+        near = [c.t for c in res.crossings if 187.0 < c.t < 187.2]
+        assert near == [pytest.approx(187.0831, abs=1e-3)]
 
 
 class TestSectionMembership:
