@@ -5,8 +5,8 @@ linearisation as one first-order system (8 components for the three-body
 problem, 4 for the flow alone and the pendulum oracle).  The driver
 supports:
 
-* adaptive steps with the usual error controller, plus a fixed-step mode for
-  bit-reproducible runs;
+* adaptive steps with Gustafsson's predictive step controller, plus a
+  fixed-step mode for bit-reproducible runs;
 * location of sign changes of scalar observables between accepted steps
   (``refine_event``, given the left state and the right time): the step
   holding the sign change is integrated again from its stored left state,
@@ -26,11 +26,14 @@ own body inlined at every stage (``make_field`` compiles a field written
 once as a ``FieldSource`` into the callable and this kernel, as its
 ``.attempt``; ``make_function`` compiles the callable alone).  Every
 component expression of a kernel performs the reference's operations in the
-reference's order, so its ``(y_new, k13, err)`` equal the reference's bit
-for bit.  ``DopriDriver.reset`` picks the field's ``.attempt`` when it has
-one and the call-through kernel otherwise, and ``refine_event`` and
-``live_points`` re-integrate with the driver's pick; the tests
-compare both kernels with the reference.
+reference's order, so its ``(y_new, err)`` equal the reference's bit for
+bit.  An attempt does not evaluate the field at y_new: ``DopriDriver.step``
+does that once it accepts the step, so rejected attempts and the
+re-integrations, which read only y_new, do not pay for it.
+``DopriDriver.reset`` picks the field's ``.attempt`` when it has one and
+the call-through kernel otherwise, and ``refine_event`` and ``live_points``
+re-integrate with the driver's pick; the tests compare both kernels with
+the reference.
 """
 
 from __future__ import annotations
@@ -112,6 +115,12 @@ _E3_ROW = tuple(
 )
 
 
+# The predictive controller reads the last accepted step's error floored at
+# this value (RADAU5's choice), so that a nearly exact step does not shrink
+# the next.
+_ERR_PREV_MIN = 1e-2
+
+
 class StepUnderflowError(RuntimeError):
     """Step size fell below h_min without meeting the error tolerance."""
 
@@ -138,7 +147,7 @@ class IntegratorOptions:
     abs_tol: float = 1e-12
     h_init: float = 1e-3
     h_min: float = 1e-12
-    h_max: float = 0.1
+    h_max: float = 0.5
     renorm_threshold: float = 1e6
     collision_radius: float = 1e-3
     escape_radius: float = 20.0
@@ -174,11 +183,12 @@ def _weighted(row, ks, i):
 
 
 def _attempt(field, opts, y, k1, h):
-    """One trial step from y with derivative k1; returns (y_new, k13, err).
+    """One trial step from y with derivative k1; returns (y_new, err).
 
-    k13 is the field at y_new (the next step's k1) and err DOP853's scaled
-    error norm, h |e5|^2 / sqrt(n (|e5|^2 + 0.01 |e3|^2)) with e5 and e3 the
-    5th- and 3rd-order estimates per tolerance scale; 0.0 in fixed-step mode.
+    err is DOP853's scaled error norm, h |e5|^2 / sqrt(n (|e5|^2 +
+    0.01 |e3|^2)) with e5 and e3 the 5th- and 3rd-order estimates per
+    tolerance scale; 0.0 in fixed-step mode.  The field at y_new, the next
+    step's k1, is left to the caller.
     """
     def state(row):
         return tuple(yi + h * _weighted(row, ks, i) for i, yi in enumerate(y))
@@ -187,9 +197,8 @@ def _attempt(field, opts, y, k1, h):
     for row in _STAGE_ROWS:
         ks.append(field(state(row)))
     y_new = state(_B_ROW)
-    k13 = field(y_new)
     if opts.fixed_step:
-        return y_new, k13, 0.0
+        return y_new, 0.0
     rel, ab = opts.rel_tol, opts.abs_tol
     e5_sq = e3_sq = 0.0
     for i, (u, v) in enumerate(zip(y, y_new)):
@@ -201,8 +210,8 @@ def _attempt(field, opts, y, k1, h):
         e5_sq += q5 * q5
         e3_sq += q3 * q3
     if e5_sq == 0.0 and e3_sq == 0.0:
-        return y_new, k13, 0.0
-    return y_new, k13, h * e5_sq / math.sqrt((e5_sq + 0.01 * e3_sq) * len(y))
+        return y_new, 0.0
+    return y_new, h * e5_sq / math.sqrt((e5_sq + 0.01 * e3_sq) * len(y))
 
 
 class FieldSource(NamedTuple):
@@ -259,11 +268,9 @@ def _kernel_lines(n: int, source: FieldSource | None = None) -> list:
     for s, row in enumerate(_STAGE_ROWS, start=2):
         lines += derivative(s, stage(row))
     lines.append(f"{names('n')} = y_new = ({tup(stage(_B_ROW))})")
-    lines += derivative(13, [f"n_{i}" for i in range(n)])
     lines += [
-        f"k13 = ({names('k13')})",
         "if opts.fixed_step:",
-        "    return y_new, k13, 0.0",
+        "    return y_new, 0.0",
         "rel, ab = opts.rel_tol, opts.abs_tol",
     ]
     for i in range(n):
@@ -278,8 +285,8 @@ def _kernel_lines(n: int, source: FieldSource | None = None) -> list:
         "e5_sq = 0.0" + "".join(f" + p_{i} * p_{i}" for i in range(n)),
         "e3_sq = 0.0" + "".join(f" + q_{i} * q_{i}" for i in range(n)),
         "if e5_sq == 0.0 and e3_sq == 0.0:",
-        "    return y_new, k13, 0.0",
-        f"return y_new, k13, h * e5_sq / sqrt((e5_sq + 0.01 * e3_sq) * {float(n)!r})",
+        "    return y_new, 0.0",
+        f"return y_new, h * e5_sq / sqrt((e5_sq + 0.01 * e3_sq) * {float(n)!r})",
     ]
 
 
@@ -340,12 +347,14 @@ class DopriDriver:
         self.h = opts.h_init
         self._k1: tuple | None = None
         self._attempt = _attempt  # reset() picks the kernel for the field
+        self._h_prev = self._err_prev = 0.0  # the last accepted step; 0.0 for none
 
     def reset(self, t: float, y: Sequence[float], h: float | None = None):
         self.t = t
         self.y = tuple(y)
         self.h = self.opts.h_init if h is None else h
         self._k1 = None
+        self._h_prev = self._err_prev = 0.0
         fused = getattr(self.field, "attempt", None)
         self._attempt = fused or _attempt_kernel(len(self.y))
         return self
@@ -354,9 +363,14 @@ class DopriDriver:
         """Advance one accepted step, not crossing t_limit.
 
         Returns (t0, y0, t1, y1).  Raises StepUnderflowError if the error
-        tolerance cannot be met above h_min.  The controller spells min(a, b)
-        ``b if b < a else a`` and max(a, b) ``b if b > a else a``: the floats
-        the builtins return, NaN and ties included, without their calls.
+        tolerance cannot be met above h_min.  The next step's size is h times
+        the smaller of the plain factor 0.9 err^-1/8 and, once an earlier
+        step was accepted, Gustafsson's predictive one, the plain factor
+        times (h / h_prev) (err_prev / err)^1/8 with err_prev floored at
+        _ERR_PREV_MIN as in RADAU5, kept within [0.2, 5] and at most 1 right
+        after a rejection.  The controller spells min(a, b) ``b if b < a
+        else a`` and max(a, b) ``b if b > a else a``: the floats the
+        builtins return, NaN and ties included, without their calls.
         """
         opts = self.opts
         t0, y0 = self.t, self.y
@@ -365,16 +379,25 @@ class DopriDriver:
         k1 = self._k1
         h = opts.h_init if opts.fixed_step else self.h
         rest = t_limit - t0
+        rejected = False
         while True:
             h_try = rest if rest < h else h
             if h_try <= 0.0:
                 raise ValueError("step() called at or past t_limit")
-            y_new, k_new, err = self._attempt(self.field, opts, y0, k1, h_try)
+            y_new, err = self._attempt(self.field, opts, y0, k1, h_try)
             if err <= 1.0:
-                # min(5, max(0.2, 0.9 err^-1/8)), 5 at err = 0; err <= 1 makes
-                # the factor at least 0.9, so the 0.2 floor never binds.
+                # err <= 1 makes the plain factor at least 0.9; 5 at err = 0.
                 growth = 0.9 * err**-0.125 if err != 0.0 else 5.0
+                if self._h_prev != 0.0 and err != 0.0:
+                    ratio = self._err_prev / err
+                    predicted = growth * (h_try / self._h_prev) * ratio**0.125
+                    growth = predicted if predicted < growth else growth
+                    growth = growth if growth > 0.2 else 0.2
                 growth = growth if growth < 5.0 else 5.0
+                if rejected:
+                    growth = growth if growth < 1.0 else 1.0
+                self._h_prev = h_try
+                self._err_prev = err if err > _ERR_PREV_MIN else _ERR_PREV_MIN
                 clipped = h_try < h
                 grown = (h_try if clipped else h) * growth
                 if clipped and h > grown:
@@ -384,12 +407,13 @@ class DopriDriver:
                 self.h = grown if grown < opts.h_max else opts.h_max
                 self.t = t0 + h_try
                 self.y = y_new
-                self._k1 = k_new
+                self._k1 = self.field(y_new)
                 return t0, y0, self.t, y_new
             if h_try <= opts.h_min:
                 raise StepUnderflowError(
                     f"step underflow at t = {t0} (scaled error {err:.3g} at h_min)"
                 )
+            rejected = True
             shrink = 0.9 * err**-0.125
             h = h_try * (shrink if shrink > 0.1 else 0.1)
             h = h if h > opts.h_min else opts.h_min

@@ -54,13 +54,14 @@ def pendulum_detect(
 ) -> DetectionOutcome:
     """Detect nonexistence of rotational invariant circles through (q0, p0).
 
-    The seed must be finite, and t_out and opts (default h_max 0.5) obey
+    The seed must be finite, and t_out and opts (default
+    ``IntegratorOptions()``, as for ``toruscan pendulum``) obey
     ``DetectorConfig``'s rules; ConfigError lists what breaks them.  The
     outcome's C field carries the conserved pendulum energy H.
     """
     if not (math.isfinite(q0) and math.isfinite(p0)):
         raise ConfigError([f"pendulum seed must be finite, got ({q0}, {p0})"])
-    cfg = DetectorConfig(t_out, integrator=opts or IntegratorOptions(h_max=0.5))
+    cfg = DetectorConfig(t_out, integrator=opts or IntegratorOptions())
     return monitor_run(
         pendulum_field,
         (q0, p0, 0.0, 1.0),

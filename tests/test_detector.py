@@ -416,6 +416,7 @@ class TestInStepSignChanges:
     # only on (C - W, C + W), inside the step [0.431, 0.531] that the
     # driver takes at h_max = 0.1 on this error-free field.
     C, W = 0.5, 1e-3
+    OPTS = IntegratorOptions(h_max=0.1)
 
     @staticmethod
     def field(y):
@@ -427,12 +428,12 @@ class TestInStepSignChanges:
 
     def run(self, qualify_fn=None):
         return monitor_run(
-            self.field, (0.0, 1.0), 2.0, IntegratorOptions(), 0.0,
+            self.field, (0.0, 1.0), 2.0, self.OPTS, 0.0,
             g_fn=self.g_fn, qualify_fn=qualify_fn,
         )
 
     def test_both_ends_of_the_dip_lie_in_one_step(self):
-        drv = DopriDriver(self.field, IntegratorOptions()).reset(0.0, (0.0, 1.0))
+        drv = DopriDriver(self.field, self.OPTS).reset(0.0, (0.0, 1.0))
         t0 = t1 = 0.0
         while t1 < self.C:
             t0, _, t1, _ = drv.step(2.0)

@@ -111,7 +111,7 @@ class TestDop853Tableau:
             y = tuple(rng.uniform(0.3, 2.0) for _ in range(n))
             h = rng.uniform(1e-3, 1e-1)
             k1 = field(y)
-            y_new, k13, _ = _attempt(field, IntegratorOptions(), y, k1, h)
+            y_new, _ = _attempt(field, IntegratorOptions(), y, k1, h)
             y_ref, f_ref = rk.rk_step(
                 lambda t, u: np.array(field(tuple(u))),
                 0.0,
@@ -124,7 +124,7 @@ class TestDop853Tableau:
                 np.empty((rk.DOP853.n_stages + 1, n)),
             )
             assert np.allclose(y_new, y_ref, rtol=1e-14, atol=0.0)
-            assert np.allclose(k13, f_ref, rtol=1e-13, atol=1e-15)
+            assert np.allclose(field(y_new), f_ref, rtol=1e-13, atol=1e-15)
 
     @pytest.mark.parametrize("n", [1, 4, 8])
     def test_error_norm_matches_scipy_formula(self, n):
@@ -138,7 +138,7 @@ class TestDop853Tableau:
             scripted = iter(ks[1:])
             y = tuple(rng.uniform(-2.0, 2.0) for _ in range(n))
             h = rng.uniform(1e-3, 1e-1)
-            y_new, _, err = _attempt(lambda u: next(scripted), opts, y, ks[0], h)
+            y_new, err = _attempt(lambda u: next(scripted), opts, y, ks[0], h)
             scale = opts.abs_tol + opts.rel_tol * np.maximum(np.abs(y), np.abs(y_new))
             err_ref = rk.DOP853._estimate_error_norm(rk.DOP853, np.array(ks), h, scale)
             assert err == pytest.approx(err_ref, rel=1e-12)
@@ -234,13 +234,14 @@ class TestFusedKernel:
         slow = DopriDriver(factory(mu), IntegratorOptions()).reset(0.0, y0)
         slow._attempt = _attempt
         for _ in range(200):
-            assert fast.step(50.0) == slow.step(50.0)
+            assert fast.step(500.0) == slow.step(500.0)
             assert fast.h == slow.h
 
     def test_counting_wrapper_steps_through_call_through_kernel(self):
         # A field wrapped the way a tracer wraps it has no fused kernel; its
-        # trajectory is the fused one and it is called 12 times per attempt,
-        # plus once for the first step's derivative.
+        # trajectory is the fused one and it is called 11 times per attempt,
+        # once at each accepted step's end and once for the first step's
+        # derivative.
         field = joint_field(0.1)
         calls = [0]
 
@@ -265,69 +266,158 @@ class TestFusedKernel:
             assert wrapped.step(50.0) == fused.step(50.0)
             assert wrapped.h == fused.h
         assert attempts[0] > 200  # the trajectory has rejected attempts
-        assert calls[0] == 12 * attempts[0] + 1
+        assert calls[0] == 11 * attempts[0] + 200 + 1
 
 
-def reference_controller(opts, h, rest, errs):
-    """(h of each attempt, next step's h) by the min/max step controller."""
+def reference_controller(opts, h, rest, errs, prev):
+    """(h of each attempt, next step's h, accepted (h, err)) by the predictive
+    step controller written with builtin min and max; prev is the last
+    accepted (h, err), None after reset."""
     tried = []
+    rejected = False
     for err in errs:
         h_try = min(h, rest)
         tried.append(h_try)
         if err <= 1.0:
             clipped = h_try < h
-            growth = 5.0 if err == 0.0 else min(5.0, max(0.2, 0.9 * err**-0.125))
+            growth = 5.0 if err == 0.0 else 0.9 * err**-0.125
+            if prev is not None and err != 0.0:
+                h_prev, err_prev = prev
+                ratio = max(1e-2, err_prev) / err
+                growth = max(0.2, min(growth, growth * (h_try / h_prev) * ratio**0.125))
+            growth = min(5.0, growth)
+            if rejected:
+                growth = min(1.0, growth)
             grown = (h_try if clipped else h) * growth
             if clipped:
                 grown = max(grown, h)
-            return tried, min(opts.h_max, max(opts.h_min, grown))
+            return tried, min(opts.h_max, max(opts.h_min, grown)), (h_try, err)
         if h_try <= opts.h_min:
-            return tried, None
+            return tried, None, prev
+        rejected = True
         h = max(opts.h_min, h_try * max(0.1, 0.9 * err**-0.125))
     raise AssertionError("scripted errors ran out")
 
 
+def scripted_driver(opts, h, errs):
+    """A driver on a constant state whose attempts report the scripted errors
+    in turn; the returned list collects each attempt's h."""
+    scripted = iter(errs)
+    tried = []
+
+    def attempt(field, opts, y, k1, h_try):
+        tried.append(h_try)
+        return y, next(scripted)
+
+    drv = DopriDriver(lambda y: (0.0,), opts).reset(0.0, (1.0,), h=h)
+    drv._attempt = attempt
+    return drv, tried
+
+
 class TestStepController:
-    """DopriDriver.step's plain comparisons against builtin min and max."""
+    """DopriDriver.step's predictive controller against builtin min and max."""
 
     @pytest.mark.parametrize(
         "opts, h, t_limit, errs",
         [
-            (IntegratorOptions(), 0.01, 1.0, [0.0]),
-            (IntegratorOptions(), 0.01, 1.0, [1e-30]),  # growth capped at 5
-            (IntegratorOptions(), 0.01, 1.0, [1.0]),
-            (IntegratorOptions(), 0.01, 1.0, [0.37]),
-            (IntegratorOptions(), 0.05, 1.0, [0.0]),  # capped at h_max
-            (IntegratorOptions(), 0.01, 1.0, [math.nan, 0.5]),
-            (IntegratorOptions(), 0.01, 1.0, [1e12, 2.0, 0.5]),  # 0.1 floor
-            (IntegratorOptions(), 0.05, 0.01, [0.9]),  # clipped last step
-            (IntegratorOptions(), 0.05, 0.01, [0.0]),
-            (IntegratorOptions(), 0.05, 0.05, [0.3]),  # not clipped: rest == h
-            (IntegratorOptions(), 0.05, 0.01, [1e6, 0.2]),
-            (IntegratorOptions(h_min=1e-6, h_init=1e-6), 2e-6, 1.0, [1e6, 0.5]),
-            (IntegratorOptions(h_min=1e-6, h_init=1e-6), 1e-6, 1.0, [0.99]),
-            (IntegratorOptions(h_min=1e-6, h_init=1e-6), 2e-6, 1.0, [1e6, 1e6]),
+            (IntegratorOptions(), 0.01, 1.0, [[0.0]]),
+            (IntegratorOptions(), 0.01, 1.0, [[1e-30]]),  # growth capped at 5
+            (IntegratorOptions(), 0.01, 1.0, [[1.0]]),
+            (IntegratorOptions(), 0.01, 1.0, [[0.37]]),
+            (IntegratorOptions(h_max=0.1), 0.05, 1.0, [[0.0]]),  # capped at h_max
+            (IntegratorOptions(), 0.01, 1.0, [[math.nan, 0.5]]),
+            (IntegratorOptions(), 0.01, 1.0, [[1e12, 2.0, 0.5]]),  # 0.1 floor
+            (IntegratorOptions(), 0.05, 0.01, [[0.9]]),  # clipped last step
+            (IntegratorOptions(), 0.05, 0.01, [[0.0]]),
+            (IntegratorOptions(), 0.05, 0.05, [[0.3]]),  # not clipped: rest == h
+            (IntegratorOptions(), 0.05, 0.01, [[1e6, 0.2]]),
+            (IntegratorOptions(h_min=1e-6, h_init=1e-6), 2e-6, 1.0, [[1e6, 0.5]]),
+            (IntegratorOptions(h_min=1e-6, h_init=1e-6), 1e-6, 1.0, [[0.99]]),
+            (IntegratorOptions(h_min=1e-6, h_init=1e-6), 2e-6, 1.0, [[1e6, 1e6]]),
+            # A steadily rising error: the predictive factor wins.
+            (IntegratorOptions(), 0.01, 1.0, [[0.05], [0.5], [0.9], [0.95]]),
+            # Falling errors: the plain factor wins, capped at 5 and h_max.
+            (IntegratorOptions(), 0.01, 1.0, [[0.5], [0.1], [1e-3], [0.0], [1e-9]]),
+            # Err_prev below its 1e-2 floor, and a rejection.
+            (IntegratorOptions(), 0.01, 1.0, [[1e-5], [3.0, 0.8], [1e-9], [1.0]]),
+            # Two rejections: the prediction falls below the 0.2 floor.
+            (IntegratorOptions(), 0.01, 1.0, [[1e-5], [1e12, 1e12, 1.0], [0.5]]),
+            (IntegratorOptions(), 0.01, 0.05, [[0.2], [0.2], [0.2], [0.9], [0.1]]),
         ],
     )
     def test_matches_min_max_controller(self, opts, h, t_limit, errs):
-        tried = []
-        scripted = iter(errs)
-
-        def attempt(field, opts, y, k1, h_try):
-            tried.append(h_try)
-            return y, k1, next(scripted)
-
-        drv = DopriDriver(lambda y: (0.0,), opts).reset(0.0, (1.0,), h=h)
-        drv._attempt = attempt
-        expected_tried, expected_h = reference_controller(opts, h, t_limit, errs)
-        if expected_h is None:
-            with pytest.raises(StepUnderflowError):
-                drv.step(t_limit)
-        else:
+        # errs holds each step's scripted errors, one list per step.
+        drv, tried = scripted_driver(opts, h, [e for step in errs for e in step])
+        prev = None
+        for step in errs:
+            t0 = drv.t
+            expected_tried, expected_h, prev = reference_controller(
+                opts, drv.h, t_limit - t0, step, prev
+            )
+            tried.clear()
+            if expected_h is None:
+                with pytest.raises(StepUnderflowError):
+                    drv.step(t_limit)
+                assert tried == expected_tried
+                return
             drv.step(t_limit)
+            assert tried == expected_tried
             assert drv.h == expected_h
-            assert drv.t == tried[-1]
-        assert tried == expected_tried
+            assert drv.t == t0 + tried[-1]
+
+    def test_rising_error_shrinks_accepted_steps(self):
+        # Accepted errors 0.05, 0.5, 0.9: after the third the plain factor
+        # would shrink the step to 0.91 of itself, the prediction to 0.82.
+        drv, tried = scripted_driver(IntegratorOptions(), 0.01, [0.05, 0.5, 0.9])
+        for _ in range(3):
+            drv.step(1.0)
+        h2, h3 = tried[1], tried[2]
+        plain = 0.9 * 0.9**-0.125
+        assert h3 < h2
+        assert drv.h == h3 * (plain * (h3 / h2) * (0.5 / 0.9) ** 0.125)
+        assert drv.h < h3 * plain
+
+    def test_no_growth_right_after_a_rejection(self):
+        drv, tried = scripted_driver(IntegratorOptions(), 0.01, [2.0, 1e-4, 1e-4])
+        drv.step(1.0)
+        assert len(tried) == 2 and drv.h == tried[-1]
+        drv.step(1.0)  # the next accepted step grows again
+        assert drv.h > tried[-1]
+
+    def test_first_step_after_reset_uses_the_plain_factor(self):
+        # After errors 0.1 and 0.5 the prediction cuts the plain factor;
+        # after reset the same error gives the plain factor again.
+        drv, tried = scripted_driver(IntegratorOptions(), 0.01, [0.1, 0.5, 0.5])
+        drv.step(1.0)
+        drv.step(1.0)
+        assert drv.h < tried[-1] * (0.9 * 0.5**-0.125)
+        attempt = drv._attempt
+        drv.reset(0.0, (1.0,), h=0.01)
+        drv._attempt = attempt
+        drv.step(1.0)
+        assert drv.h == 0.01 * (0.9 * 0.5**-0.125)
+
+    def test_kepler_pericentre_passages_reject_few_attempts(self):
+        # Three periods of the mu = 0 Kepler orbit a = 1, e = 0.8 (pericentre
+        # 0.2, apocentre 1.8), started at pericentre in the rotating frame:
+        # the step shrinks steadily on each approach to pericentre.
+        a, e = 1.0, 0.8
+        rp = a * (1.0 - e)
+        vp = math.sqrt((1.0 + e) / rp)
+        drv = DopriDriver(flow_field(0.0), IntegratorOptions())
+        drv.reset(0.0, (rp, 0.0, 0.0, vp - rp))
+        kernel, attempts, accepted = drv._attempt, [0], 0
+
+        def counting(*args):
+            attempts[0] += 1
+            return kernel(*args)
+
+        drv._attempt = counting
+        t_end = 3 * 2.0 * math.pi * a**1.5
+        while drv.t < t_end:
+            drv.step(t_end)
+            accepted += 1
+        assert (attempts[0] - accepted) / attempts[0] < 0.10
 
 
 class TestRefinement:
@@ -365,8 +455,8 @@ class TestRefinement:
         assert t_star == pytest.approx(0.5 * math.pi, abs=1e-9)
 
     def test_bracket_of_several_steps(self):
-        # g passes through zero once inside [0, 3], which spans dozens of
-        # steps at h_max = 0.1.
+        # g passes through zero once inside [0, 3], which spans several
+        # steps at the default h_max.
         opts = IntegratorOptions()
         t_star, y_star = refine_event(
             harmonic_field, opts, 0.0, (1.0, 0.0), 3.0, lambda y: y[0]
