@@ -200,10 +200,10 @@ def _g_monitor(mu: float, rel_tol: float):
     )
 
 
-def _make_lambda_qualifier(mu: float) -> Callable[[tuple], bool]:
-    """True iff lambda(eta) < 0 at the supplied joint state."""
+def _make_lambda_qualifier(mu: float) -> Callable[[float, tuple], bool]:
+    """Event hook: True iff lambda(eta) < 0 at the event's joint state."""
 
-    def qualify(y):
+    def qualify(t, y):
         try:
             lam = foliation.evaluate(State(*y[:4]), mu).lambda_coeffs
         except foliation.SingularPointError:
@@ -278,51 +278,56 @@ _STATUS_TO_CLASS = {
 
 def monitor_run(
     field,
-    y0: tuple,
+    state: tuple,
+    tangent: tuple,
     t_out: float,
     opts: IntegratorOptions,
     C: float,
     *,
     g_fn=None,
-    qualify_fn=None,
+    on_event=None,
+    falling_only: bool = False,
     guard_fn=None,
     want_lyapunov: bool = False,
     extra: dict | None = None,
 ) -> DetectionOutcome:
-    """Shared detection loop: integrate, watch sign changes, refine, qualify.
+    """The one trajectory loop: integrate, watch sign changes, refine, report.
 
-    y0 is a state followed by a tangent of the same length.  g_fn maps a
-    joint state y, and its derivative k when given, to (g, scale, dg/dt); g
-    is live where |g| > _ARMING_REL * scale, and a live sign change against
-    the last live sign is an event, located by refine_event and counted as
-    a detection if qualify_fn accepts it; so are both of a pair of sign
-    changes inside one step (integrate.live_points), in time order.  A step
-    the guard flags is still searched, and an event before the guard's
-    trigger point counts.  Returns the outcome with C, the caller's
-    conserved quantity at the seed.  Its diagnostics give the reached time
-    t_end, what cut the run short of t_out (truncation; with reason and
-    detail for a step underflow before any detection), then the caller's
-    extra entries.
+    field drives the state followed by the tangent (empty for the state
+    alone).  g_fn maps a joint state y, and its derivative k when given, to
+    (g, scale, dg/dt); g is live where |g| > _ARMING_REL * scale, and a live
+    sign change against the last live sign (only a falling one, with
+    falling_only) is an event; so are both of a pair of sign changes inside
+    one step (integrate.live_points), in time order.  An event before the
+    guard's trigger point (a flagged step is still searched) is located by
+    refine_event, counted and passed to on_event(t, y), which returns True
+    when it is the detection (without on_event, every event is).  Returns
+    the outcome with C, the caller's conserved quantity at the seed.  Its
+    diagnostics give the reached time t_end (a collision's where the guard
+    locates it), what cut the run short of t_out (truncation; with reason
+    and detail for a step underflow before any detection), then extra.
 
-    The seed tangent is normalized to unit length before integration: every
+    A seed tangent is normalized to unit length before integration: every
     monitored quantity is degree-1 homogeneous in the tangent and the
     Lyapunov estimate is a ratio, so outcomes are unchanged while the step
     sequence becomes independent of the seed tangent's magnitude.
     """
-    n = len(y0) // 2
-    eta0_norm = _tangent_norm(y0, n)
-    if eta0_norm <= 0.0:
-        raise ValueError("seed tangent must be nonzero")
-    inv = 1.0 / eta0_norm
-    y0 = y0[:n] + tuple(c * inv for c in y0[n:])
+    n = len(state)
+    y0 = tuple(state) + tuple(tangent)
+    if tangent:
+        eta0_norm = _tangent_norm(y0, n)
+        if eta0_norm <= 0.0:
+            raise ValueError("seed tangent must be nonzero")
+        inv = 1.0 / eta0_norm
+        y0 = y0[:n] + tuple(c * inv for c in y0[n:])
     drv = DopriDriver(field, opts).reset(0.0, y0)
     log_accum = 0.0
     n_events = 0
-    t_detect = None
+    t_detect = t_end = None  # t_end: drv.t unless the guard locates a collision
     status = "timeout"
     detection_done = g_fn is None
     thresh_sq = opts.renorm_threshold * opts.renorm_threshold
-    joint = n == 4  # sums |eta|^2 as the loop below
+    joint = n == len(tangent) == 4  # sums |eta|^2 as the loop below
 
     def live(y, k=None):
         g, scale, dg = g_fn(y, k)
@@ -355,19 +360,17 @@ def monitor_run(
         if not detection_done:
             g_live, g1, d1 = live(y1, drv._k1)
             ends, (g_prev, d_prev) = (g_prev, d_prev, g1, d1), (g1, d1)
-            for t, y, g in live_points(
-                drv, t0, y_start, k0, ends, g_live, armed, lambda y: live(y)[0]
-            ):
+            for t, y, g in live_points(drv, t0, y_start, k0, ends, g_live, armed, live):
                 if g == 0.0:
                     continue
-                if armed * g < 0.0:
+                if armed * g < 0.0 and not (falling_only and g > 0.0):
                     t_star, y_star = refine_event(
                         field, opts, armed_t, armed_y, t, g_value
                     )
                     if flag is not None and t_star >= t0 + flag[1] * (t1 - t0):
                         break
                     n_events += 1
-                    if qualify_fn is None or qualify_fn(y_star):
+                    if on_event is None or on_event(t_star, y_star):
                         t_detect = t_star
                         status = "fired"
                         detection_done = True
@@ -380,7 +383,11 @@ def monitor_run(
             if status != "fired":
                 status = flag[0]
             diagnostics["truncation"] = flag[0]
+            if flag[0] == "collision":
+                t_end = t0 + flag[1] * (t1 - t0)
             break
+        if not tangent:
+            continue
         if joint:
             _, _, _, _, a, b, c, d = y1
             tn_sq = 0.0 + a * a + b * b + c * c + d * d
@@ -405,7 +412,7 @@ def monitor_run(
     lyap = None
     if want_lyapunov:
         lyap = _final_lyapunov(drv.y, n, log_accum, drv.t)
-    diagnostics["t_end"] = drv.t
+    diagnostics["t_end"] = drv.t if t_end is None else t_end
     diagnostics.update(extra or {})
     return DetectionOutcome(
         classification=_STATUS_TO_CLASS[status],
@@ -445,7 +452,7 @@ def _singular_outcome(s0, mu, reason) -> DetectionOutcome:
     )
 
 
-def _joint_run(s0, mu, cfg, eta0, *, detect, qualify_fn=None, extra=None):
+def _joint_run(s0, mu, cfg, eta0, *, detect, on_event=None, extra=None):
     """monitor_run of the joint system from (s0, eta0) under cfg.
 
     With detect the g monitor watches for events and the Lyapunov estimate
@@ -453,12 +460,13 @@ def _joint_run(s0, mu, cfg, eta0, *, detect, qualify_fn=None, extra=None):
     """
     return monitor_run(
         joint_field(mu),
-        tuple(s0) + tuple(eta0),
+        s0,
+        eta0,
         cfg.t_out,
         cfg.integrator,
         jacobi_constant(s0, mu),
         g_fn=_g_monitor(mu, cfg.integrator.rel_tol) if detect else None,
-        qualify_fn=qualify_fn,
+        on_event=on_event,
         guard_fn=_make_guard(mu, cfg.integrator),
         want_lyapunov=cfg.compute_lyapunov or not detect,
         extra=extra,
@@ -491,7 +499,7 @@ def run_general(
         # automatic there but the lambda test cannot certify it.
         extra["seed_xi_parallel_v"] = True
     qualify = _make_lambda_qualifier(mu)
-    return _joint_run(s0, mu, cfg, eta0, detect=True, qualify_fn=qualify, extra=extra)
+    return _joint_run(s0, mu, cfg, eta0, detect=True, on_event=qualify, extra=extra)
 
 
 def run_symmetric(s0: State, mu: float, cfg: DetectorConfig) -> DetectionOutcome:

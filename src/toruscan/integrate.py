@@ -531,7 +531,7 @@ def live_points(drv, t0, y0, k0, ends, end_value, sign, live):
     holds g and dg/dt at t0 and drv.t, and the cubic Hermite through them
     predicts g's extremum against sign; only a predicted sign change there
     is checked, on the one-substep re-integration from (y0, k0) with the
-    driver's kernel, by live(y): g where it counts, 0.0 elsewhere.
+    kernel of drv, by live(y)[0]: g where it counts, 0.0 elsewhere.
     """
     points = [(drv.t, drv.y, end_value)]
     if sign == 0 or sign * end_value < 0.0:
@@ -557,5 +557,5 @@ def live_points(drv, t0, y0, k0, ends, end_value, sign, live):
         return points
     t = t0 + s_best * h
     y = drv._attempt(drv.field, drv.opts, y0, k0, t - t0)[0]
-    g = live(y)
+    g = live(y)[0]
     return [(t, y, g), *points] if sign * g < 0.0 else points

@@ -42,7 +42,7 @@ def _g_fn(y, k=None):
     return eq, math.hypot(eq, ep), 0.0 if k is None else k[2]
 
 
-def _qualify(y):
+def _qualify(t, y):
     return y[3] < 0.0
 
 
@@ -64,11 +64,12 @@ def pendulum_detect(
     cfg = DetectorConfig(t_out, integrator=opts or IntegratorOptions())
     return monitor_run(
         pendulum_field,
-        (q0, p0, 0.0, 1.0),
+        (q0, p0),
+        (0.0, 1.0),
         cfg.t_out,
         cfg.integrator,
         pendulum_energy(q0, p0),
         g_fn=_g_fn,
-        qualify_fn=_qualify,
+        on_event=_qualify,
         extra={"system": "pendulum"},
     )

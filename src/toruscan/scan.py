@@ -27,11 +27,12 @@ from . import __version__
 from .detector import (
     DetectorConfig,
     Formulation,
+    _g_monitor,
     _singular_outcome,
     combine_both,
     run as run_detector,
 )
-from .dynamics import State, validate_mass_ratio, vector_field
+from .dynamics import State, joint_field, validate_mass_ratio, vector_field
 from .foliation import (
     Plane,
     is_degenerate,
@@ -200,6 +201,9 @@ def run_scan(
         collect(map(_scan_row, tasks))
     else:
         workers = min(workers, n_r)
+        # Compiled here, the field and g monitor reach forked workers cached.
+        joint_field(spec.mu)
+        _g_monitor(spec.mu, cfg.integrator.rel_tol)
         # One row per task: a worker that finishes early takes the next row.
         with ProcessPoolExecutor(max_workers=workers) as pool:
             collect(pool.map(_scan_row, tasks, chunksize=1))

@@ -12,27 +12,26 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-from .detector import DetectorConfig, _make_guard
+from .detector import DetectorConfig, _make_guard, monitor_run
 from .dynamics import (
     PolarState,
     State,
     flow_field,
+    jacobi_constant,
     polar,
     validate_mass_ratio,
     vector_field,
 )
-from .integrate import (
-    DopriDriver,
-    StepUnderflowError,
-    live_points,
-    refine_event,
-)
+from .integrate import refine_event
 
 __all__ = [
     "SectionCrossing",
     "ReturnMapResult",
     "radial_momentum_rate",
     "return_map",
+    # Located through monitor_run; kept at this name because
+    # perfbench/tracing.py patches it and fails to install without it.
+    "refine_event",
 ]
 
 _TANGENCY_TOL = 1e-10
@@ -67,17 +66,21 @@ def radial_momentum_rate(s: State, mu: float) -> float:
     """d(p_r)/dt along the flow, analytic."""
     if s[0] == 0.0 and s[1] == 0.0:
         raise ValueError("radial momentum rate undefined at the origin")
-    return _p_r_rate(s, vector_field(s, mu))
+    return _p_r_monitor(s, vector_field(s, mu))[2]
 
 
-def _p_r_rate(y, k):
-    """d(p_r)/dt at y from its time derivative k; 0.0 at the origin."""
-    (x, yy, vx, vy), (kx, ky, kvx, kvy) = y, k
+def _p_r_monitor(y, k=None):
+    """(p_r, 1.0, dp_r/dt) at y with derivative k, a g monitor's (g, scale,
+    dg/dt) with scale 1; dp_r/dt is 0.0 without k, each is 0.0 at the origin."""
+    x, yy, vx, vy = y
+    r, rv = math.hypot(x, yy), x * vx + yy * vy
+    p_r = 0.0 if r == 0.0 else rv / r
     r2 = x * x + yy * yy
-    if r2 == 0.0:
-        return 0.0
+    if k is None or r2 == 0.0:
+        return p_r, 1.0, 0.0
+    kx, ky, kvx, kvy = k
     dot = kx * vx + x * kvx + ky * vy + yy * kvy
-    return (dot - (x * vx + yy * vy) * (x * kx + yy * ky) / r2) / math.sqrt(r2)
+    return p_r, 1.0, (dot - rv * (x * kx + yy * ky) / r2) / math.sqrt(r2)
 
 
 def return_map(
@@ -85,82 +88,36 @@ def return_map(
 ) -> ReturnMapResult:
     """Successive downward crossings of p_r = 0 from one seed.
 
-    Sign changes of p_r between accepted steps are located by
-    integrate.refine_event, and pairs of them inside one step are found by
-    integrate.live_points; crossings with dp_r/dt <= -tangency
-    tolerance are accepted, near-tangent ones are counted as ambiguous and
-    excluded.  A step the guard flags is still searched, and a crossing
-    before the guard's trigger point counts.
+    detector.monitor_run follows the flow alone, without a tangent, and
+    locates each falling sign change of p_r, between accepted steps or
+    inside one, up to the guard's trigger point.  Crossings with dp_r/dt <=
+    -tangency tolerance are accepted, near-tangent ones are counted as
+    ambiguous and excluded.
     """
     validate_mass_ratio(mu)
     if n_returns < 1:
         raise ValueError(f"n_returns must be >= 1, got {n_returns}")
-    field_fn = flow_field(mu)
-    opts = cfg.integrator
-    guard = _make_guard(mu, opts)
-    drv = DopriDriver(field_fn, opts).reset(0.0, tuple(s0))
-
-    def p_r_of(y):
-        x, yy, vx, vy = y
-        r = math.hypot(x, yy)
-        if r == 0.0:
-            return 0.0
-        return (x * vx + yy * vy) / r
-
-    def live(y):
-        p_r = p_r_of(y)
-        return p_r if abs(p_r) > 1e-12 else 0.0
-
     result = ReturnMapResult()
-    drv._k1 = field_fn(drv.y)  # the first step's k1, read here for the rate
-    g_prev, d_prev = p_r_of(drv.y), _p_r_rate(drv.y, drv._k1)
-    g_live = live(drv.y)
-    sign_prev = (g_live > 0.0) - (g_live < 0.0)
-    prev_t, prev_y = 0.0, drv.y
 
-    while drv.t < cfg.t_out:
-        k0 = drv._k1
-        try:
-            t0, y0, t1, y1 = drv.step(cfg.t_out)
-        except StepUnderflowError:
-            result.status = "step-underflow"
-            result.t_end = drv.t
-            return result
-        flag = guard(y0, y1)
-        g1, d1 = p_r_of(y1), _p_r_rate(y1, drv._k1)
-        ends, (g_prev, d_prev) = (g_prev, d_prev, g1, d1), (g1, d1)
-        g_live = g1 if abs(g1) > 1e-12 else 0.0
-        for t, y, g in live_points(drv, t0, y0, k0, ends, g_live, sign_prev, live):
-            if g == 0.0:
-                continue
-            if sign_prev > 0 and g < 0.0:
-                t_star, y_star = refine_event(field_fn, opts, prev_t, prev_y, t, p_r_of)
-                if flag is not None and t_star >= t0 + flag[1] * (t1 - t0):
-                    break
-                s_star = State(*y_star)
-                rate_star = radial_momentum_rate(s_star, mu)
-                if rate_star <= -_TANGENCY_TOL:
-                    result.crossings.append(
-                        SectionCrossing(
-                            t=t_star,
-                            s=s_star,
-                            polar=polar(s_star),
-                            dp_r_dt=rate_star,
-                        )
-                    )
-                    if len(result.crossings) >= n_returns:
-                        result.status = "completed"
-                        result.t_end = t_star
-                        return result
-                else:
-                    result.n_ambiguous += 1
-            sign_prev = 1 if g > 0.0 else -1
-            prev_t, prev_y = t, y
-        if flag is not None:
-            result.status = flag[0]
-            result.t_end = t1
-            return result
+    def record(t, y):
+        s = State(*y)
+        rate = radial_momentum_rate(s, mu)
+        if rate <= -_TANGENCY_TOL:
+            result.crossings.append(SectionCrossing(t, s, polar(s), rate))
+            return len(result.crossings) >= n_returns
+        result.n_ambiguous += 1
+        return False
 
-    result.t_end = drv.t
-    result.status = "timeout" if result.crossings else "no-return"
+    opts = cfg.integrator
+    out = monitor_run(
+        flow_field(mu), s0, (), cfg.t_out, opts, jacobi_constant(s0, mu),
+        g_fn=_p_r_monitor, on_event=record, falling_only=True,
+        guard_fn=_make_guard(mu, opts),
+    )
+    if out.t_detect is not None:
+        result.status, result.t_end = "completed", out.t_detect
+    else:
+        none = "timeout" if result.crossings else "no-return"
+        result.status = out.diagnostics.get("truncation", none)
+        result.t_end = out.diagnostics["t_end"]
     return result

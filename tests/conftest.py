@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from toruscan.dynamics import State
+from toruscan.dynamics import State, flow_field
+from toruscan.integrate import DopriDriver, IntegratorOptions
 
 
 @pytest.fixture
@@ -24,3 +25,14 @@ def random_states(rng, n, r_lo=0.4, r_hi=2.5, v_max=1.2, avoid_mu=None):
                 continue
         out.append(State(float(x), float(y), float(vx), float(vy)))
     return out
+
+
+def body_distance_at(s0, mu, t):
+    """Distance to the nearer body at time t of the orbit from s0, integrated
+    well below the default tolerances."""
+    opts = IntegratorOptions(rel_tol=1e-13, abs_tol=1e-15, h_max=0.01)
+    drv = DopriDriver(flow_field(mu), opts).reset(0.0, tuple(s0))
+    while drv.t < t:
+        drv.step(t)
+    x, y = drv.y[0], drv.y[1]
+    return min(np.hypot(x + mu, y), np.hypot(x - 1.0 + mu, y))

@@ -5,6 +5,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from toruscan import detector
 from toruscan.detector import (
     Classification,
     DetectionOutcome,
@@ -36,7 +37,7 @@ from toruscan.foliation import Plane, evaluate
 from toruscan.integrate import DopriDriver, IntegratorOptions
 from toruscan.scan import _classify_cell, plane_point
 
-from conftest import random_states
+from conftest import body_distance_at, random_states
 
 TORUS_SEED_MU0 = plane_point(Plane.THETA0, 1.2, 1.0, 0.0)
 CROSSING_SEED = plane_point(Plane.THETA0, 1.5, 0.5, 0.1)
@@ -273,6 +274,15 @@ class TestLyapunovEstimate:
         assert out.lyapunov is not None
         assert out.diagnostics["t_end"] < 40.0
 
+    def test_collision_run_ends_where_the_guard_enters(self):
+        # The run ends where the flagged step's chord enters the collision
+        # radius, not at the step's end, which lies ~3% deeper here.
+        s = plane_point(Plane.THETA0, 1.3, 1.007389, 0.1)
+        out = lyapunov_estimate(s, 0.1, cfg_with(t_out=40.0))
+        assert out.diagnostics["truncation"] == "collision"
+        d = body_distance_at(s, 0.1, out.diagnostics["t_end"])
+        assert d == pytest.approx(IntegratorOptions().collision_radius, rel=1e-2)
+
     def test_detection_run_carries_the_same_exponent(self):
         # Event refinement integrates on the side, so a detection run with
         # compute_lyapunov follows the Lyapunov run's trajectory exactly.
@@ -426,10 +436,10 @@ class TestInStepSignChanges:
         d = y[0] - self.C
         return d * d - self.W * self.W, 1.0, 0.0 if k is None else 2.0 * d * k[0]
 
-    def run(self, qualify_fn=None):
+    def run(self, on_event=None):
         return monitor_run(
-            self.field, (0.0, 1.0), 2.0, self.OPTS, 0.0,
-            g_fn=self.g_fn, qualify_fn=qualify_fn,
+            self.field, (0.0,), (1.0,), 2.0, self.OPTS, 0.0,
+            g_fn=self.g_fn, on_event=on_event,
         )
 
     def test_both_ends_of_the_dip_lie_in_one_step(self):
@@ -448,7 +458,7 @@ class TestInStepSignChanges:
     def test_both_crossings_are_qualified_in_time_order(self):
         seen = []
 
-        def qualify(y):
+        def qualify(t, y):
             seen.append(y[0])
             return y[0] > self.C
 
@@ -456,6 +466,98 @@ class TestInStepSignChanges:
         assert seen == [pytest.approx(self.C - self.W), pytest.approx(self.C + self.W)]
         assert out.t_detect == pytest.approx(self.C + self.W, abs=1e-10)
         assert out.n_sign_events == 2
+
+
+class TestTrajectoryLoop:
+    """monitor_run without a tangent, with falling events only, and the end
+    time of a run the guard stops."""
+
+    @staticmethod
+    def harmonic(y):
+        x, v = y
+        return (v, -x)
+
+    @staticmethod
+    def x_monitor(y, k=None):
+        return y[0], 1.0, 0.0 if k is None else k[0]
+
+    def test_empty_tangent_is_neither_normalized_nor_renormalized(self):
+        # y' = y from 2 passes 1e7 at t = log(5e6), well past the default
+        # renorm_threshold 1e6: scaling y as a tangent would move or lose
+        # that crossing, and an empty tangent has norm 0.
+        seen = []
+
+        def record(t, y):
+            seen.append(t)
+            return False
+
+        def g_fn(y, k=None):
+            return y[0] - 1e7, 1.0, 0.0 if k is None else k[0]
+
+        out = monitor_run(
+            lambda y: y, (2.0,), (), 20.0, IntegratorOptions(), 0.0,
+            g_fn=g_fn, on_event=record, want_lyapunov=True,
+        )
+        assert seen == [pytest.approx(math.log(5e6), abs=1e-8)]
+        assert out.classification is Classification.UNDETERMINED
+        assert out.n_sign_events == 1 and out.diagnostics["t_end"] == 20.0
+        assert out.lyapunov is None
+        with pytest.raises(ValueError):
+            monitor_run(lambda y: y, (2.0,), (0.0,), 1.0, IntegratorOptions(), 0.0)
+
+    def test_falling_only_refines_falling_crossings_only(self, monkeypatch):
+        refine, calls = detector.refine_event, []
+
+        def counting(*args):
+            calls.append(args)
+            return refine(*args)
+
+        monkeypatch.setattr(detector, "refine_event", counting)
+        seen = []
+
+        def record(t, y):
+            seen.append(t)
+            return False
+
+        def run(falling_only):
+            calls.clear()
+            seen.clear()
+            return monitor_run(
+                self.harmonic, (1.0, 0.0), (), 20.0, IntegratorOptions(), 0.0,
+                g_fn=self.x_monitor, on_event=record, falling_only=falling_only,
+            )
+
+        # x = cos t falls through 0 at pi/2 + 2 pi j and rises at 3 pi/2 +
+        # 2 pi j; three of each before t = 20.
+        out = run(True)
+        falling = [0.5 * math.pi + 2.0 * math.pi * j for j in range(3)]
+        assert seen == pytest.approx(falling, abs=1e-8)
+        assert len(calls) == 3 and out.n_sign_events == 3
+        out = run(False)
+        every = [0.5 * math.pi + math.pi * j for j in range(6)]
+        assert seen == pytest.approx(every, abs=1e-8)
+        assert len(calls) == 6 and out.n_sign_events == 6
+
+    @pytest.mark.parametrize("kind, entry", [("collision", 0.25), ("escape", 1.0)])
+    def test_guard_stop_end_time(self, kind, entry):
+        # A clock x' = 1 flagged on the step that passes x = 1: a collision
+        # ends at the guard's entry point, an escape at the step's end.
+        def clock(y):
+            return (1.0,)
+
+        def guard(y0, y1):
+            return (kind, entry) if y1[0] > 1.0 else None
+
+        opts = IntegratorOptions()
+        out = monitor_run(clock, (0.0,), (), 5.0, opts, 0.0, guard_fn=guard)
+        drv = DopriDriver(clock, opts).reset(0.0, (0.0,))
+        t0, _, t1, y1 = drv.step(5.0)
+        while y1[0] <= 1.0:
+            t0, _, t1, y1 = drv.step(5.0)
+        expected = t0 + entry * (t1 - t0) if kind == "collision" else t1
+        assert out.diagnostics["t_end"] == expected < 5.0
+        assert out.diagnostics["truncation"] == kind
+        assert out.classification.value == kind.capitalize()
 
 
 def _reference_cell(recipe, i, j, rel_tol=1e-10):

@@ -3,8 +3,9 @@
 Every imported name is used in its module (or re-exported through
 ``__all__``), every name a module lists in ``__all__`` exists, and every
 private top-level name of a module is referenced by some module of the
-package.  The README's numbers are the code's: its Defaults table and its
-fixed thresholds.
+package.  Outside ``integrate``, only ``detector`` steps a DopriDriver or
+locates events, so the program has one trajectory loop.  The README's
+numbers are the code's: its Defaults table and its fixed thresholds.
 """
 
 import ast
@@ -115,6 +116,42 @@ def test_all_names_resolve(name):
     )
     missing = [n for n in getattr(module, "__all__", ()) if not hasattr(module, n)]
     assert missing == []
+
+
+# Calls that make up a trajectory loop: stepping a DopriDriver and locating
+# sign changes.
+_LOOP_CALLS = ("live_points", "refine_event", "step")
+
+
+def _loop_calls(tree):
+    """The trajectory-loop calls of a module, as a bare name or an attribute."""
+    found = []
+    for n in ast.walk(tree):
+        if isinstance(n, ast.Call):
+            f = n.func
+            name = f.id if isinstance(f, ast.Name) else getattr(f, "attr", None)
+            if name in _LOOP_CALLS:
+                found.append(f"{name} (line {n.lineno})")
+    return sorted(found)
+
+
+@pytest.mark.parametrize(
+    "name", [m for m in MODULES if m not in ("integrate", "detector")]
+)
+def test_one_trajectory_loop(name):
+    assert _loop_calls(TREES[name]) == []
+
+
+def test_detects_a_second_trajectory_loop():
+    tree = ast.parse(
+        "drv.step(t)\nrefine_event(f, o, 0, y, 1, g)\nintegrate.live_points(a)\n"
+    )
+    assert _loop_calls(tree) == [
+        "live_points (line 3)",
+        "refine_event (line 2)",
+        "step (line 1)",
+    ]
+    assert len(_loop_calls(TREES["detector"])) == 3
 
 
 def test_detects_an_unused_import():

@@ -12,6 +12,8 @@ import toruscan.section as section
 from toruscan.section import radial_momentum_rate, return_map
 from toruscan.unperturbed import elements_from_state
 
+from conftest import body_distance_at
+
 
 def kepler_pericentre_state(a, e):
     rp = a * (1.0 - e)
@@ -98,6 +100,14 @@ class TestReturnMap:
         res = return_map(State(0.903, 0.0, -1.0, 0.0), 0.1, 5, DetectorConfig(t_out=10.0))
         assert res.status == "collision"
         assert res.crossings == []
+
+    def test_collision_ends_where_the_guard_enters(self):
+        # The flagged step's end lies ~4% inside the collision radius here.
+        s = State(0.903, 0.0, -1.0, 0.0)
+        res = return_map(s, 0.1, 5, DetectorConfig(t_out=10.0))
+        assert res.status == "collision"
+        d = body_distance_at(s, 0.1, res.t_end)
+        assert d == pytest.approx(IntegratorOptions().collision_radius, rel=1e-2)
 
     def test_step_underflow_is_not_collision(self):
         opts = IntegratorOptions(h_min=0.05, h_init=0.05, rel_tol=1e-14, abs_tol=1e-16)
