@@ -12,7 +12,8 @@ with the body inlined (``integrate.make_field``); a wrapped field steps
 through the call-through kernel with the same results.  The detector's
 g monitor, with g's time derivative, is compiled from the same gradient
 and Hessian statements.
-``potential_gradient`` and ``potential_hessian`` stay as the readable oracles.
+``potential_gradient`` is the readable gradient behind ``vector_field`` and
+``grad_hamiltonian``, which evaluate seeds and section points, not steps.
 
 The rotating-frame Hamiltonian is H = |v|^2/2 + U(x, y) with effective
 potential U = -(x^2+y^2)/2 - (1-mu)/r1 - mu/r2, and the symplectic form in
@@ -36,20 +37,13 @@ __all__ = [
     "validate_mass_ratio",
     "effective_potential",
     "potential_gradient",
-    "potential_hessian",
     "hamiltonian",
     "jacobi_constant",
     "angular_momentum",
-    "kepler_energy",
     "polar",
     "vector_field",
-    "jacobian",
-    "symplectic_form",
     "grad_hamiltonian",
     "grad_angular_momentum",
-    "reversal",
-    "reversal_tangent",
-    "lagrange_points",
     "flow_field",
     "joint_field",
 ]
@@ -129,26 +123,6 @@ def potential_gradient(x: float, y: float, mu: float) -> tuple[float, float]:
     return ux, uy
 
 
-def potential_hessian(x: float, y: float, mu: float) -> tuple[float, float, float]:
-    """(Uxx, Uxy, Uyy), analytic second derivatives of U."""
-    r1, r2 = _check_off_bodies(x, y, mu)
-    om = 1.0 - mu
-    dx1 = x + mu
-    ir13 = 1.0 / (r1 * r1 * r1)
-    ir15 = ir13 / (r1 * r1)
-    uxx = -1.0 + om * (ir13 - 3.0 * dx1 * dx1 * ir15)
-    uxy = -3.0 * om * dx1 * y * ir15
-    uyy = -1.0 + om * (ir13 - 3.0 * y * y * ir15)
-    if mu > 0.0:
-        dx2 = x - 1.0 + mu
-        ir23 = 1.0 / (r2 * r2 * r2)
-        ir25 = ir23 / (r2 * r2)
-        uxx += mu * (ir23 - 3.0 * dx2 * dx2 * ir25)
-        uxy += -3.0 * mu * dx2 * y * ir25
-        uyy += mu * (ir23 - 3.0 * y * y * ir25)
-    return uxx, uxy, uyy
-
-
 def hamiltonian(s: State, mu: float) -> float:
     """Rotating-frame energy H = |v|^2/2 + U(x, y)."""
     x, y, vx, vy = s
@@ -164,20 +138,6 @@ def angular_momentum(s: State) -> float:
     """Inertial angular momentum L = x*py - y*px = x*vy - y*vx + x^2 + y^2."""
     x, y, vx, vy = s
     return x * vy - y * vx + x * x + y * y
-
-
-def kepler_energy(s: State, mu: float) -> float:
-    """Inertial-frame two-body energy K = |p|^2/2 - (1-mu)/r1 - mu/r2.
-
-    Satisfies H = K - L up to rounding.
-    """
-    x, y, vx, vy = s
-    r1, r2 = _check_off_bodies(x, y, mu)
-    px, py = vx - y, vy + x
-    k = 0.5 * (px * px + py * py) - (1.0 - mu) / r1
-    if mu > 0.0:
-        k -= mu / r2
-    return k
 
 
 def polar(s: State) -> PolarState:
@@ -196,29 +156,6 @@ def vector_field(s: State, mu: float) -> TangentVector:
     return TangentVector(vx, vy, 2.0 * vy - ux, -2.0 * vx - uy)
 
 
-def jacobian(s: State, mu: float):
-    """Exact 4x4 Jacobian DV of the vector field (row-major nested tuples)."""
-    x, y, _, _ = s
-    uxx, uxy, uyy = potential_hessian(x, y, mu)
-    return (
-        (0.0, 0.0, 1.0, 0.0),
-        (0.0, 0.0, 0.0, 1.0),
-        (-uxx, -uxy, 0.0, 2.0),
-        (-uxy, -uyy, -2.0, 0.0),
-    )
-
-
-def symplectic_form(u, w) -> float:
-    """omega(u, w) for omega = dx^dvx + dy^dvy - 2 dx^dy."""
-    return (
-        u[0] * w[2]
-        - u[2] * w[0]
-        + u[1] * w[3]
-        - u[3] * w[1]
-        - 2.0 * (u[0] * w[1] - u[1] * w[0])
-    )
-
-
 def grad_hamiltonian(s: State, mu: float) -> TangentVector:
     """Euclidean gradient of H: (Ux, Uy, vx, vy)."""
     x, y, vx, vy = s
@@ -230,72 +167,6 @@ def grad_angular_momentum(s: State) -> TangentVector:
     """Euclidean gradient of L: (vy + 2x, -vx + 2y, -y, x)."""
     x, y, vx, vy = s
     return TangentVector(vy + 2.0 * x, -vx + 2.0 * y, -y, x)
-
-
-def reversal(s: State) -> State:
-    """Time-reversal symmetry R: (x, y, vx, vy) -> (x, -y, -vx, vy).
-
-    R is an involution fixing the symmetry planes y = 0, vx = 0; it preserves
-    H and L, and conjugates the flow to its time reverse.
-    """
-    return State(s[0], -s[1], -s[2], s[3])
-
-
-def reversal_tangent(u) -> TangentVector:
-    """Push-forward dR = diag(1, -1, -1, 1) applied to a tangent vector."""
-    return TangentVector(u[0], -u[1], -u[2], u[3])
-
-
-def _collinear_root(mu: float, lo: float, hi: float) -> float:
-    """Safeguarded bisection for dU/dx(x, 0) = 0 on (lo, hi)."""
-
-    def fx(x):
-        return potential_gradient(x, 0.0, mu)[0]
-
-    # Pull the endpoints off the singularities before bracketing.
-    eps = 1e-9
-    a, b = lo + eps, hi - eps
-    fa, fb = fx(a), fx(b)
-    if fa * fb > 0.0:
-        raise RuntimeError(
-            f"collinear equilibrium not bracketed in ({lo}, {hi}) for mu={mu}"
-        )
-    for _ in range(200):
-        m = 0.5 * (a + b)
-        fm = fx(m)
-        if fm == 0.0:
-            return m
-        if fa * fm < 0.0:
-            b, fb = m, fm
-        else:
-            a, fa = m, fm
-        if b - a < 1e-15 * max(1.0, abs(a)):
-            break
-    x = 0.5 * (a + b)
-    if abs(fx(x)) > 1e-12:
-        raise RuntimeError(f"collinear root did not converge for mu={mu}: x={x}")
-    return x
-
-
-def lagrange_points(mu: float) -> tuple[tuple[float, float], ...]:
-    """The five equilibria (L1..L5); collinear ones by bisection on dU/dx.
-
-    L1 lies between the bodies, L2 beyond the secondary, L3 opposite the
-    secondary; L4/L5 are the equilateral points (1/2 - mu, +-sqrt(3)/2).
-    """
-    if not (0.0 < mu <= 0.5):
-        raise ValueError(f"lagrange_points requires 0 < mu <= 1/2, got {mu}")
-    l1 = _collinear_root(mu, -mu, 1.0 - mu)
-    l2 = _collinear_root(mu, 1.0 - mu, 2.0)
-    l3 = _collinear_root(mu, -2.0, -mu)
-    s3 = math.sqrt(3.0) / 2.0
-    return (
-        (l1, 0.0),
-        (l2, 0.0),
-        (l3, 0.0),
-        (0.5 - mu, s3),
-        (0.5 - mu, -s3),
-    )
 
 
 # Formula sources of the hot fields.  The mu > 0 and mu = 0 bodies associate

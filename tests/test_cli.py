@@ -310,8 +310,16 @@ class TestEntryPoint:
         assert proc.stdout.strip() == "0.2.0"
 
     def test_import_does_not_load_numpy(self):
+        # The package promises the standard library only: every top-level
+        # module the import adds is stdlib or toruscan (multiprocessing
+        # registers __mp_main__).
         proc = run_python(
-            "-c", "import sys, toruscan.cli; print('numpy' in sys.modules)"
+            "-c",
+            "import sys; before = set(sys.modules); import toruscan.cli; "
+            "print('numpy' in sys.modules); "
+            "added = {m.partition('.')[0] for m in set(sys.modules) - before}; "
+            "print(sorted(added - sys.stdlib_module_names"
+            " - {'toruscan', '__mp_main__'}))",
         )
         assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.strip() == "False"
+        assert proc.stdout.splitlines() == ["False", "[]"]

@@ -27,9 +27,6 @@ from toruscan.dynamics import (
     grad_hamiltonian,
     hamiltonian,
     joint_field,
-    lagrange_points,
-    reversal_tangent,
-    symplectic_form,
     vector_field,
 )
 from toruscan.config import parse_config, to_detector_config, to_plane_spec
@@ -38,6 +35,7 @@ from toruscan.integrate import DopriDriver, IntegratorOptions
 from toruscan.scan import _classify_cell, plane_point
 
 from conftest import body_distance_at, random_states
+from oracles import lagrange_points, reversal_tangent, symplectic_form
 
 TORUS_SEED_MU0 = plane_point(Plane.THETA0, 1.2, 1.0, 0.0)
 CROSSING_SEED = plane_point(Plane.THETA0, 1.5, 0.5, 0.1)

@@ -7,9 +7,6 @@ from toruscan.dynamics import (
     State,
     grad_angular_momentum,
     grad_hamiltonian,
-    lagrange_points,
-    reversal,
-    reversal_tangent,
     vector_field,
 )
 from toruscan.foliation import (
@@ -23,6 +20,7 @@ from toruscan.foliation import (
 from toruscan.scan import plane_point
 
 from conftest import random_states
+from oracles import lagrange_points, reversal, reversal_tangent
 
 
 def dot(u, w):

@@ -2,9 +2,11 @@
 
 Every imported name is used in its module (or re-exported through
 ``__all__``), every name a module lists in ``__all__`` exists, and every
-private top-level name of a module is referenced by some module of the
-package.  Outside ``integrate``, only ``detector`` steps a DopriDriver or
-locates events, so the program has one trajectory loop.  The README's
+top-level name of a module, public or private, is read by some module of
+the package; a listing in ``__all__`` is not a read.  Each name in
+``tests/oracles.py`` is read by a test module or by another oracle.
+Outside ``integrate``, only ``detector`` steps a DopriDriver or locates
+events, so the program has one trajectory loop.  The README's
 numbers are the code's: its Defaults table and its fixed thresholds.
 """
 
@@ -51,8 +53,8 @@ def _unused_imports(tree):
     )
 
 
-def _private_definitions(tree):
-    """{name: line} of the private names a module binds at top level."""
+def _top_level_names(tree):
+    """{name: line} of the names a module binds at top level."""
     defined = {}
     for node in tree.body:
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
@@ -63,11 +65,15 @@ def _private_definitions(tree):
                 for n in ast.walk(target):
                     if isinstance(n, ast.Name):
                         defined[n.id] = n.lineno
-    return {
-        name: line
-        for name, line in defined.items()
-        if name.startswith("_") and not name.endswith("__")
-    }
+    return defined
+
+
+def _public(name):
+    return not name.startswith("_")
+
+
+def _private(name):
+    return name.startswith("_") and not name.endswith("__")
 
 
 def _references(tree):
@@ -83,11 +89,12 @@ def _references(tree):
     return refs
 
 
-def _unreferenced_private(tree, refs):
+def _unreferenced(tree, refs, kind):
+    """The top-level names of one kind (public or private) not among refs."""
     return sorted(
         f"{name} (line {line})"
-        for name, line in _private_definitions(tree).items()
-        if name not in refs
+        for name, line in _top_level_names(tree).items()
+        if kind(name) and name not in refs
     )
 
 
@@ -100,7 +107,22 @@ PACKAGE_REFS = set().union(*map(_references, TREES.values()))
 
 @pytest.mark.parametrize("name", MODULES)
 def test_no_unreferenced_private_names(name):
-    assert _unreferenced_private(TREES[name], PACKAGE_REFS) == []
+    assert _unreferenced(TREES[name], PACKAGE_REFS, _private) == []
+
+
+@pytest.mark.parametrize("name", MODULES)
+def test_no_unreferenced_public_names(name):
+    assert _unreferenced(TREES[name], PACKAGE_REFS, _public) == []
+
+
+def test_every_oracle_is_used():
+    tests = {
+        p.stem: ast.parse(p.read_text(encoding="utf-8"))
+        for p in (ROOT / "tests").glob("*.py")
+    }
+    refs = set().union(*map(_references, tests.values()))
+    assert _unreferenced(tests["oracles"], refs, _public) == []
+    assert _unreferenced(tests["oracles"], refs, _private) == []
 
 
 @pytest.mark.parametrize("name", MODULES)
@@ -170,12 +192,29 @@ def test_detects_an_unreferenced_private_name():
     )
     other = ast.parse("from pkg.mod import _K\nimport pkg\npkg.mod._f()\n")
     refs = _references(module) | _references(other)
-    assert _unreferenced_private(module, refs) == ["_B (line 1)", "_C (line 2)"]
-    assert _unreferenced_private(module, _references(module)) == [
+    assert _unreferenced(module, refs, _private) == ["_B (line 1)", "_C (line 2)"]
+    assert _unreferenced(module, _references(module), _private) == [
         "_B (line 1)",
         "_C (line 2)",
         "_K (line 7)",
         "_f (line 3)",
+    ]
+
+
+def test_detects_an_unreferenced_public_name():
+    module = ast.parse(
+        "__all__ = ['f', 'g', 'K']\n"
+        "def f():\n    return 0\n"
+        "def g():\n    return f()\n"
+        "class K:\n    pass\n"
+        "_h = 1\n"
+    )
+    other = ast.parse("from pkg.mod import g\n")
+    refs = _references(module) | _references(other)
+    assert _unreferenced(module, refs, _public) == ["K (line 6)"]
+    assert _unreferenced(module, _references(module), _public) == [
+        "K (line 6)",
+        "g (line 4)",
     ]
 
 

@@ -5,7 +5,7 @@ import pytest
 
 import toruscan.scan as scan
 from toruscan.detector import Classification, DetectorConfig, Formulation, run_both
-from toruscan.dynamics import State, angular_momentum, lagrange_points
+from toruscan.dynamics import State, angular_momentum
 from toruscan.foliation import Plane
 from toruscan.integrate import IntegratorOptions
 from toruscan.scan import (
@@ -15,8 +15,9 @@ from toruscan.scan import (
     plane_point,
     run_scan,
 )
-from toruscan.unperturbed import torus_region_contains
 from toruscan.dynamics import jacobi_constant
+
+from oracles import lagrange_points, torus_region_contains
 
 
 class TestPlanePoint:

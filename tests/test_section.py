@@ -10,9 +10,9 @@ from toruscan.integrate import DopriDriver, IntegratorOptions
 from toruscan.scan import plane_point
 import toruscan.section as section
 from toruscan.section import radial_momentum_rate, return_map
-from toruscan.unperturbed import elements_from_state
 
 from conftest import body_distance_at
+from oracles import elements_from_state
 
 
 def kepler_pericentre_state(a, e):

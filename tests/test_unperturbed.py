@@ -10,13 +10,16 @@ from toruscan.scan import plane_point
 from toruscan.foliation import Plane
 from toruscan.unperturbed import (
     Curve,
-    DegenerateOrbitError,
-    UnboundOrbitError,
     compact_coords,
     crossing_boundary,
-    elements_from_state,
     escape_boundary,
     resonance_curve,
+)
+
+from oracles import (
+    DegenerateOrbitError,
+    UnboundOrbitError,
+    elements_from_state,
     torus_region_contains,
 )
 
