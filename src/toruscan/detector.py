@@ -216,9 +216,11 @@ def _make_lambda_qualifier(mu: float) -> Callable[[float, tuple], bool]:
 def _make_guard(mu: float, opts: IntegratorOptions):
     """Collision / escape guard evaluated on each accepted step.
 
-    Returns None, or the flag with the fraction of the step at which it
-    triggers: escape at the step's end, collision where the chord first
-    comes within the collision radius.  Collision checks the full step
+    Returns None, or the flag with where on the step it triggers: for an
+    escape (the step's end lies beyond the escape radius), x^2 + y^2 -
+    R_esc^2 as a function of the state, whose sign change the caller
+    locates; for a collision, the fraction of the step at which the chord
+    first comes within the collision radius.  Collision checks the full step
     chord against each massive body so a fast close passage inside the
     collision radius cannot slip between endpoints.  A body with |y1 - b|^2
     > 2 (r_col^2 + |w|^2), w the chord, is skipped: then |y1 - b| > r_col +
@@ -232,10 +234,13 @@ def _make_guard(mu: float, opts: IntegratorOptions):
     r_col_sq = opts.collision_radius * opts.collision_radius
     r_esc_sq = opts.escape_radius * opts.escape_radius
 
+    def beyond(y):
+        return y[0] * y[0] + y[1] * y[1] - r_esc_sq
+
     def guard(y0, y1):
         x1, yy1 = y1[0], y1[1]
         if x1 * x1 + yy1 * yy1 > r_esc_sq:
-            return "escape", 1.0
+            return "escape", beyond
         x0, yy0 = y0[0], y0[1]
         wx, wy = x1 - x0, yy1 - yy0
         w2 = wx * wx + wy * wy
@@ -298,14 +303,17 @@ def monitor_run(
     (g, scale, dg/dt); g is live where |g| > _ARMING_REL * scale, and a live
     sign change against the last live sign (only a falling one, with
     falling_only) is an event; so are both of a pair of sign changes inside
-    one step (integrate.live_points), in time order.  An event before the
-    guard's trigger point (a flagged step is still searched) is located by
+    one step (integrate.live_points), in time order.  guard_fn(y0, y1)
+    flags a step that ends the run as (kind, where): where is the fraction
+    of the step at which the run stops, or a function of y whose sign
+    change on the step refine_event locates as that point.  An event
+    before it (a flagged step is still searched) is located by
     refine_event, counted and passed to on_event(t, y), which returns True
     when it is the detection (without on_event, every event is).  Returns
     the outcome with C, the caller's conserved quantity at the seed.  Its
-    diagnostics give the reached time t_end (a collision's where the guard
-    locates it), what cut the run short of t_out (truncation; with reason
-    and detail for a step underflow before any detection), then extra.
+    diagnostics give the reached time t_end (the guard's stop point, if
+    any), what cut the run short of t_out (truncation; with reason and
+    detail for a step underflow before any detection), then extra.
 
     A seed tangent is normalized to unit length before integration: every
     monitored quantity is degree-1 homogeneous in the tangent and the
@@ -323,7 +331,7 @@ def monitor_run(
     drv = DopriDriver(field, opts).reset(0.0, y0)
     log_accum = 0.0
     n_events = 0
-    t_detect = t_end = None  # t_end: drv.t unless the guard locates a collision
+    t_detect = t_end = None  # t_end: drv.t unless the guard stops the run
     status = "timeout"
     detection_done = g_fn is None
     thresh_sq = opts.renorm_threshold * opts.renorm_threshold
@@ -356,7 +364,14 @@ def monitor_run(
                 diagnostics.update(reason=status, detail=str(exc))
             diagnostics["truncation"] = "step-underflow"
             break
+        start = t0, y_start, k0
         flag = None if guard_fn is None else guard_fn(y_start, y1)
+        if flag is not None:
+            kind, where = flag
+            if callable(where):  # a function of y that changes sign on the step
+                t_stop = refine_event(drv, start, (t0, y_start), (t1, y1), where)[0]
+            else:  # the fraction of the step
+                t_stop = t0 + where * (t1 - t0)
         if not detection_done:
             g_live, g1, d1 = live(y1, drv._k1)
             ends, (g_prev, d_prev) = (g_prev, d_prev, g1, d1), (g1, d1)
@@ -365,9 +380,9 @@ def monitor_run(
                     continue
                 if armed * g < 0.0 and not (falling_only and g > 0.0):
                     t_star, y_star = refine_event(
-                        field, opts, armed_t, armed_y, t, g_value
+                        drv, start, (armed_t, armed_y), (t, y), g_value
                     )
-                    if flag is not None and t_star >= t0 + flag[1] * (t1 - t0):
+                    if flag is not None and t_star >= t_stop:
                         break
                     n_events += 1
                     if on_event is None or on_event(t_star, y_star):
@@ -381,10 +396,9 @@ def monitor_run(
                 break
         if flag is not None:
             if status != "fired":
-                status = flag[0]
-            diagnostics["truncation"] = flag[0]
-            if flag[0] == "collision":
-                t_end = t0 + flag[1] * (t1 - t0)
+                status = kind
+            diagnostics["truncation"] = kind
+            t_end = t_stop
             break
         if not tangent:
             continue
@@ -404,8 +418,6 @@ def monitor_run(
             k1 = drv._k1
             if k1 is not None:
                 drv._k1 = k1[:n] + tuple(c * inv for c in k1[n:])
-            if armed_t == t1:
-                armed_y = y_scaled
             if not detection_done:
                 g_prev, d_prev = g_prev * inv, d_prev * inv
 

@@ -7,12 +7,12 @@ supports:
 
 * adaptive steps with Gustafsson's predictive step controller, plus a
   fixed-step mode for bit-reproducible runs;
-* location of sign changes of scalar observables between accepted steps
-  (``refine_event``, given the left state and the right time): the step
-  holding the sign change is integrated again from its stored left state,
-  and from the secant root of the observable's values at that step's ends
-  the root is bracketed to 1e-11 relative in time on one-substep
-  re-integrations from the step's left state;
+* location of a scalar observable's sign change inside the accepted step
+  that holds it (``refine_event``, given the step's start and the two
+  readings that bracket the change): from the secant root of the
+  observable's values at the readings, the root is bracketed to 1e-11
+  relative in time on one-substep re-integrations from the step's start;
+  nothing is stepped again;
 * sign changes inside one accepted step (``live_points``): a cubic
   Hermite through the observable's values and time derivatives at the
   step's ends predicts them, and a one-substep re-integration confirms
@@ -29,7 +29,8 @@ component expression of a kernel performs the reference's operations in the
 reference's order, so its ``(y_new, err)`` equal the reference's bit for
 bit.  An attempt does not evaluate the field at y_new: ``DopriDriver.step``
 does that once it accepts the step, so rejected attempts and the
-re-integrations, which read only y_new, do not pay for it.
+re-integrations, which read only y_new, do not pay for it.  Only the
+caller's trajectory loop calls ``DopriDriver.step``.
 ``DopriDriver.reset`` picks the field's ``.attempt`` when it has one and
 the call-through kernel otherwise, and ``refine_event`` and ``live_points``
 re-integrate with the driver's pick; the tests compare both kernels with
@@ -349,10 +350,10 @@ class DopriDriver:
         self._attempt = _attempt  # reset() picks the kernel for the field
         self._h_prev = self._err_prev = 0.0  # the last accepted step; 0.0 for none
 
-    def reset(self, t: float, y: Sequence[float], h: float | None = None):
+    def reset(self, t: float, y: Sequence[float]):
         self.t = t
         self.y = tuple(y)
-        self.h = self.opts.h_init if h is None else h
+        self.h = self.opts.h_init
         self._k1 = None
         self._h_prev = self._err_prev = 0.0
         fused = getattr(self.field, "attempt", None)
@@ -425,27 +426,40 @@ _TIME_TOL = 1e-11
 _MAX_ITER = 128
 
 
-def _polish(at, t_est, lo, hi):
-    """Bracket the root of g along at(t) -> (y, g) to _TIME_TOL*max(1, |t|).
+def refine_event(drv, start, left, right, g_of_y: Callable[[tuple], float]):
+    """Locate a sign change of g_of_y inside the step drv took from start.
 
-    lo and hi are (t, g, y) on either side of the root, and t_est is the
-    secant root through them.  Each later attempt is at the root of the
-    inverse quadratic interpolant through the three points evaluated last
-    (at first the bracket's ends and t_est; the secant through the last two
-    where g values coincide), or at the bracket's midpoint where that root
-    falls outside it.  An estimate within half a tolerance of the point just
-    tried moves to half a tolerance beyond it, on the root's side, so that
-    the next attempt closes the bracket.  Returns the (t, y) of the final
-    bracket's end with the smaller |g|.
+    start is the step's (t0, y0, k0).  right is a reading (t, y) in the
+    step and left the last reading before it of g's other sign; where left
+    lies at or before t0 (after readings at which g was not live), the
+    bracket starts at the step's start (t0, y0) instead.  Where g at the
+    left end is 0 or already has the right end's sign, that end is the
+    event.  Otherwise the root is bracketed to _TIME_TOL*max(1, |t|) on
+    one-substep re-integrations from (y0, k0) with the driver's kernel,
+    the first at the secant root of g's values at the bracket's ends.  Each
+    later attempt is at the root of the inverse quadratic interpolant
+    through the three points evaluated last (the secant through the last
+    two where g values coincide), or at the bracket's midpoint where that
+    root falls outside it.  An estimate within half a tolerance of the
+    point just tried moves to half a tolerance beyond it, on the root's
+    side, so that the next attempt closes the bracket.  Returns (t_star,
+    y_star): the final bracket's end with the smaller |g|.
     """
-    (a, ga, ya), (b, gb, yb) = lo, hi
+    t0, y0, k0 = start
+    if left[0] <= t0:
+        left = t0, y0
+    (a, ya), (b, yb) = left, right
+    ga, gb = g_of_y(ya), g_of_y(yb)
+    if ga == 0.0 or (ga > 0.0) == (gb > 0.0):
+        return a, ya
     (p, gp), (u, gu) = (a, ga), (b, gb)
-    t = t_est
+    t = a - ga * (b - a) / (gb - ga)
     for _ in range(_MAX_ITER):
         tol = _TIME_TOL * max(1.0, abs(t))
         if b - a <= tol:
             break
-        y, gt = at(t)
+        y = drv._attempt(drv.field, drv.opts, y0, k0, t - t0)[0]
+        gt = g_of_y(y)
         if gt == 0.0:
             return t, y
         if (gt > 0.0) == (ga > 0.0):
@@ -468,56 +482,6 @@ def _polish(at, t_est, lo, hi):
         if not a < t < b:
             t = 0.5 * (a + b)
     return (a, ya) if abs(ga) <= abs(gb) else (b, yb)
-
-
-def refine_event(
-    field,
-    opts: IntegratorOptions,
-    t_left: float,
-    y_left: tuple,
-    t_right: float,
-    g_of_y: Callable[[tuple], float],
-):
-    """Locate a sign change of g_of_y between t_left and t_right.
-
-    The caller has seen g change sign from y_left to its state at t_right;
-    only y_left is needed, as g's sign there is read from g_of_y.  Where
-    g(y_left) = 0 that is the event, (t_left, y_left).  Otherwise the
-    bracket is integrated again from y_left, in one step when the error
-    control accepts it (a bracket of one accepted step) and otherwise in
-    substeps up to the first whose end has changed sign.  From the secant
-    root of g's values at that substep's ends, the root is bracketed to
-    _TIME_TOL*max(1, |t|) on one-substep re-integrations from its left
-    state, taken with the driver's own kernel.  Returns (t_star, y_star)
-    with y_star that re-integration's state at t_star; if the
-    re-integration keeps g's sign up to t_right, the event is put at
-    t_right.
-    """
-    g0 = g_of_y(y_left)
-    if g0 == 0.0:
-        return t_left, y_left
-
-    drv = DopriDriver(field, opts).reset(
-        t_left, y_left, h=min(t_right - t_left, opts.h_max)
-    )
-    drv._k1 = field(y_left)
-    while True:
-        k1 = drv._k1
-        t0, y0, t1, y1 = drv.step(t_right)
-        g1 = g_of_y(y1)
-        if g1 == 0.0 or (t1 >= t_right and (g1 > 0.0) == (g0 > 0.0)):
-            return t1, y1
-        if (g1 > 0.0) != (g0 > 0.0):
-            break
-        g0 = g1
-
-    t_est = t0 - g0 * (t1 - t0) / (g1 - g0)
-
-    def reintegrate(t):
-        y = drv._attempt(field, opts, y0, k1, t - t0)[0]
-        return y, g_of_y(y)
-
-    return _polish(reintegrate, t_est, (t0, g0, y0), (t1, g1, y1))
 
 
 def live_points(drv, t0, y0, k0, ends, end_value, sign, live):

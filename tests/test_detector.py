@@ -31,7 +31,7 @@ from toruscan.dynamics import (
 )
 from toruscan.config import parse_config, to_detector_config, to_plane_spec
 from toruscan.foliation import Plane, evaluate
-from toruscan.integrate import DopriDriver, IntegratorOptions
+from toruscan.integrate import DopriDriver, IntegratorOptions, _attempt_kernel
 from toruscan.scan import _classify_cell, plane_point
 
 from conftest import body_distance_at, random_states
@@ -373,8 +373,13 @@ class TestGuard:
         assert guard(y0, (0.85, 0.2, 0.0, 0.0)) is None
 
     def test_escape_radius(self):
+        # The flag carries x^2 + y^2 - R^2, which the loop locates on the step.
         guard = _make_guard(0.1, IntegratorOptions(escape_radius=5.0))
-        assert guard((1, 0, 0, 0), (5.1, 0.0, 0.0, 0.0)) == ("escape", 1.0)
+        flag, beyond = guard((1, 0, 0, 0), (5.1, 0.0, 0.0, 0.0))
+        assert flag == "escape"
+        assert beyond((3.0, 4.0, 0.0, 0.0)) == 0.0
+        assert beyond((5.1, 0.0, 0.0, 0.0)) > 0.0 > beyond((1.0, 0.0, 0.0, 0.0))
+        assert guard((1, 0, 0, 0), (4.9, 0.0, 0.0, 0.0)) is None
 
     @staticmethod
     def _chord_distance(b, p, q):
@@ -465,6 +470,49 @@ class TestInStepSignChanges:
         assert out.t_detect == pytest.approx(self.C + self.W, abs=1e-10)
         assert out.n_sign_events == 2
 
+    def step_holding(self, x):
+        """(t0, y0, k0, t1) of the accepted step whose end first passes x."""
+        drv = DopriDriver(self.field, self.OPTS).reset(0.0, (0.0, 1.0))
+        while drv.t <= x:
+            t0, y0, t1, _ = drv.step(2.0)
+        return t0, y0, self.field(y0), t1
+
+    def test_events_are_reintegrations_from_the_step_start(self):
+        t0, y0, k0, t1 = self.step_holding(self.C)
+        seen = []
+        self.run(lambda t, y: seen.append((t, y)))
+        assert len(seen) == 2 and all(t0 < t < t1 for t, _ in seen)
+        kernel = _attempt_kernel(2)
+        for t_star, y_star in seen:
+            assert y_star == kernel(self.field, self.OPTS, y0, k0, t_star - t0)[0]
+
+    def stretch_events(self, root):
+        """Events of g = root - x, which is not live on [0.3, 0.45) (scale
+        1e20 there): the readings at the step ends inside that stretch are
+        skipped, and the first live one after it changes the sign."""
+
+        def g_fn(y, k=None):
+            x = y[0]
+            return root - x, 1e20 if 0.3 <= x < 0.45 else 1.0, 0.0
+
+        seen = []
+        monitor_run(
+            self.field, (0.0,), (1.0,), 2.0, self.OPTS, 0.0,
+            g_fn=g_fn, on_event=lambda t, y: seen.append((t, y)),
+        )
+        return seen
+
+    def test_after_a_non_live_stretch_the_bracket_starts_at_the_step(self):
+        t0, y0, k0, t1 = self.step_holding(0.45)
+        assert 0.3 < t0 - 0.1 < t0 < 0.45 < t1 < 0.6
+        # The step's start already reads root - x < 0: the event is there.
+        assert self.stretch_events(0.5 * (0.3 + t0)) == [(t0, y0)]
+        # It still reads root - x > 0: the event is polished inside the step.
+        [(t_star, y_star)] = self.stretch_events(0.5 * (t0 + t1))
+        assert t_star == pytest.approx(0.5 * (t0 + t1), abs=1e-11)
+        kernel = _attempt_kernel(2)
+        assert y_star == kernel(self.field, self.OPTS, y0, k0, t_star - t0)[0]
+
 
 class TestTrajectoryLoop:
     """monitor_run without a tangent, with falling events only, and the end
@@ -536,24 +584,76 @@ class TestTrajectoryLoop:
         assert seen == pytest.approx(every, abs=1e-8)
         assert len(calls) == 6 and out.n_sign_events == 6
 
+    def test_refine_event_takes_no_step_and_only_polish_attempts(self, monkeypatch):
+        # Inside refine_event the field is evaluated by polish attempts only,
+        # 11 stages each, and the driver takes no step.
+        inside, evals, attempts, steps, calls = [], [0], [0], [0], []
+        kernel = _attempt_kernel(2)
+
+        def field(y):
+            evals[0] += 1
+            return self.harmonic(y)
+
+        def attempt(*args):
+            attempts[0] += bool(inside)
+            return kernel(*args)
+
+        field.attempt = attempt
+        step, refine = DopriDriver.step, detector.refine_event
+
+        def counted_step(drv, t_limit):
+            steps[0] += bool(inside)
+            return step(drv, t_limit)
+
+        def counted_refine(*args):
+            e0, a0 = evals[0], attempts[0]
+            inside.append(True)
+            try:
+                return refine(*args)
+            finally:
+                inside.pop()
+                calls.append((evals[0] - e0, attempts[0] - a0))
+
+        monkeypatch.setattr(DopriDriver, "step", counted_step)
+        monkeypatch.setattr(detector, "refine_event", counted_refine)
+        out = monitor_run(
+            field, (1.0, 0.0), (), 20.0, IntegratorOptions(), 0.0,
+            g_fn=self.x_monitor, on_event=lambda t, y: False,
+        )
+        assert out.n_sign_events == len(calls) == 6 and steps == [0]
+        assert all(n > 0 and e == 11 * n for e, n in calls)
+
     @pytest.mark.parametrize("kind, entry", [("collision", 0.25), ("escape", 1.0)])
     def test_guard_stop_end_time(self, kind, entry):
         # A clock x' = 1 flagged on the step that passes x = 1: a collision
-        # ends at the guard's entry point, an escape at the step's end.
+        # ends at the guard's entry fraction of that step, an escape where
+        # x crosses entry = 1, located inside the step as events are.  A
+        # sign change later in the step is not an event.
         def clock(y):
             return (1.0,)
 
         def guard(y0, y1):
-            return (kind, entry) if y1[0] > 1.0 else None
+            if y1[0] <= 1.0:
+                return None
+            return (kind, entry) if kind == "collision" else (kind, lambda y: y[0] - entry)
 
         opts = IntegratorOptions()
-        out = monitor_run(clock, (0.0,), (), 5.0, opts, 0.0, guard_fn=guard)
         drv = DopriDriver(clock, opts).reset(0.0, (0.0,))
         t0, _, t1, y1 = drv.step(5.0)
         while y1[0] <= 1.0:
             t0, _, t1, y1 = drv.step(5.0)
-        expected = t0 + entry * (t1 - t0) if kind == "collision" else t1
-        assert out.diagnostics["t_end"] == expected < 5.0
+        late = 0.5 * (1.0 + t1)
+        assert t0 + 0.25 * (t1 - t0) < 1.0 < late < t1
+
+        def g_fn(y, k=None):
+            return y[0] - late, 1.0, 0.0 if k is None else k[0]
+
+        out = monitor_run(clock, (0.0,), (), 5.0, opts, 0.0, g_fn=g_fn, guard_fn=guard)
+        if kind == "collision":
+            assert out.diagnostics["t_end"] == t0 + entry * (t1 - t0)
+        else:
+            assert out.diagnostics["t_end"] == pytest.approx(entry, abs=1e-11)
+        assert out.n_sign_events == 0
         assert out.diagnostics["truncation"] == kind
         assert out.classification.value == kind.capitalize()
 

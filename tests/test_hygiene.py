@@ -5,9 +5,10 @@ Every imported name is used in its module (or re-exported through
 top-level name of a module, public or private, is read by some module of
 the package; a listing in ``__all__`` is not a read.  Each name in
 ``tests/oracles.py`` is read by a test module or by another oracle.
-Outside ``integrate``, only ``detector`` steps a DopriDriver or locates
-events, so the program has one trajectory loop.  The README's
-numbers are the code's: its Defaults table and its fixed thresholds.
+Only ``detector`` builds or steps a DopriDriver or locates events, so the
+program has one trajectory loop; ``integrate`` defines them and calls
+none of them.  The README's numbers are the code's: its Defaults table
+and its fixed thresholds.
 """
 
 import ast
@@ -140,9 +141,9 @@ def test_all_names_resolve(name):
     assert missing == []
 
 
-# Calls that make up a trajectory loop: stepping a DopriDriver and locating
-# sign changes.
-_LOOP_CALLS = ("live_points", "refine_event", "step")
+# Calls that make up a trajectory loop: building and stepping a DopriDriver
+# and locating sign changes.
+_LOOP_CALLS = ("DopriDriver", "live_points", "refine_event", "step")
 
 
 def _loop_calls(tree):
@@ -157,23 +158,25 @@ def _loop_calls(tree):
     return sorted(found)
 
 
-@pytest.mark.parametrize(
-    "name", [m for m in MODULES if m not in ("integrate", "detector")]
-)
+@pytest.mark.parametrize("name", [m for m in MODULES if m != "detector"])
 def test_one_trajectory_loop(name):
     assert _loop_calls(TREES[name]) == []
 
 
 def test_detects_a_second_trajectory_loop():
     tree = ast.parse(
-        "drv.step(t)\nrefine_event(f, o, 0, y, 1, g)\nintegrate.live_points(a)\n"
+        "drv.step(t)\nrefine_event(d, s, l, r, g)\nintegrate.live_points(a)\n"
+        "integrate.DopriDriver(f, o).reset(0.0, y)\n"
     )
     assert _loop_calls(tree) == [
+        "DopriDriver (line 4)",
         "live_points (line 3)",
         "refine_event (line 2)",
         "step (line 1)",
     ]
-    assert len(_loop_calls(TREES["detector"])) == 3
+    # monitor_run's own: the driver, its step, live_points and the located
+    # events and escape.
+    assert len(_loop_calls(TREES["detector"])) == 5
 
 
 def test_detects_an_unused_import():

@@ -250,9 +250,9 @@ class TestFusedKernel:
             return field(y)
 
         y0 = (1.3, 0.0, 0.0, -0.4, 1.0, 0.0, 0.0, 0.0)
-        opts = IntegratorOptions()
-        fused = DopriDriver(field, opts).reset(0.0, y0, h=0.1)
-        wrapped = DopriDriver(counted, opts).reset(0.0, y0, h=0.1)
+        opts = IntegratorOptions(h_init=0.1)
+        fused = DopriDriver(field, opts).reset(0.0, y0)
+        wrapped = DopriDriver(counted, opts).reset(0.0, y0)
         assert wrapped._attempt is _attempt_kernel(8)
         attempts = [0]
         kernel = wrapped._attempt
@@ -309,8 +309,8 @@ def scripted_driver(opts, h, errs):
         tried.append(h_try)
         return y, next(scripted)
 
-    drv = DopriDriver(lambda y: (0.0,), opts).reset(0.0, (1.0,), h=h)
-    drv._attempt = attempt
+    drv = DopriDriver(lambda y: (0.0,), opts).reset(0.0, (1.0,))
+    drv.h, drv._attempt = h, attempt
     return drv, tried
 
 
@@ -392,8 +392,8 @@ class TestStepController:
         drv.step(1.0)
         assert drv.h < tried[-1] * (0.9 * 0.5**-0.125)
         attempt = drv._attempt
-        drv.reset(0.0, (1.0,), h=0.01)
-        drv._attempt = attempt
+        drv.reset(0.0, (1.0,))
+        drv.h, drv._attempt = 0.01, attempt
         drv.step(1.0)
         assert drv.h == 0.01 * (0.9 * 0.5**-0.125)
 
@@ -420,20 +420,33 @@ class TestStepController:
         assert (attempts[0] - accepted) / attempts[0] < 0.10
 
 
+def step_once(field, opts, t, y, t_limit):
+    """A driver after one accepted step from (t, y), with that step's start
+    (t0, y0, k0) and end (t1, y1)."""
+    drv = DopriDriver(field, opts).reset(t, y)
+    t0, y0, t1, y1 = drv.step(t_limit)
+    return drv, (t0, y0, field(y0)), (t1, y1)
+
+
 class TestRefinement:
     def test_returns_an_end_without_a_crossing_to_locate(self):
-        opts = IntegratorOptions()
-        # g(y_left) = 0: the left end is the event.
-        y_left = (0.0, -1.0)
-        assert refine_event(
-            harmonic_field, opts, 0.5, y_left, 1.0, lambda y: y[0]
-        ) == (0.5, y_left)
-        # x = cos t keeps its sign on [0, 1]: the event is put at t_right.
-        t_star, y_star = refine_event(
-            harmonic_field, opts, 0.0, (1.0, 0.0), 1.0, lambda y: y[0]
-        )
-        assert t_star == pytest.approx(1.0, abs=1e-12)
-        assert y_star[0] == pytest.approx(math.cos(1.0), abs=1e-9)
+        # x = cos t falls through 0 at pi/2 inside the step from 1.5.
+        opts = IntegratorOptions(h_init=0.2)
+        y = (math.cos(1.5), -math.sin(1.5))
+        drv, start, right = step_once(harmonic_field, opts, 1.5, y, 10.0)
+        assert right[1][0] < 0.0
+        # g = 0 at the left end: that end is the event.
+        event = refine_event(drv, start, start[:2], right, lambda s: s[0] - y[0])
+        assert event == (1.5, y)
+        # A left reading before the step moves to the step's start, where g
+        # already has the right end's sign: the step's start is the event.
+        left = (1.0, (math.cos(1.0), -math.sin(1.0)))
+
+        def g(s):
+            return s[0] - 2.0 * y[0]
+
+        assert g(left[1]) > 0.0 > g(y) > g(right[1])
+        assert refine_event(drv, start, left, right, g) == (1.5, y)
 
     def test_state_is_the_one_substep_reintegration_at_t_star(self):
         # x = cos t crosses zero inside one accepted step of the oscillator.
@@ -442,28 +455,16 @@ class TestRefinement:
         t0, y0, t1, y1 = drv.step(10.0)
         while y1[0] > 0.0:
             t0, y0, t1, y1 = drv.step(10.0)
+        start = (t0, y0, harmonic_field(y0))
         t_star, y_star = refine_event(
-            harmonic_field, opts, t0, y0, t1, lambda y: y[0]
+            drv, start, (t0, y0), (t1, y1), lambda y: y[0]
         )
         assert t0 < t_star < t1
-        again = _attempt_kernel(2)(
-            harmonic_field, opts, y0, harmonic_field(y0), t_star - t0
-        )[0]
+        again = _attempt_kernel(2)(harmonic_field, opts, y0, start[2], t_star - t0)[0]
         assert y_star == again
         # |g| within the time tolerance times |dg/dt| = |v|.
         assert abs(y_star[0]) <= 1e-11 * max(1.0, t_star) * abs(y_star[1])
         assert t_star == pytest.approx(0.5 * math.pi, abs=1e-9)
-
-    def test_bracket_of_several_steps(self):
-        # g passes through zero once inside [0, 3], which spans several
-        # steps at the default h_max.
-        opts = IntegratorOptions()
-        t_star, y_star = refine_event(
-            harmonic_field, opts, 0.0, (1.0, 0.0), 3.0, lambda y: y[0]
-        )
-        assert t_star == pytest.approx(0.5 * math.pi, abs=1e-9)
-        assert abs(y_star[0]) <= 1e-11 * max(1.0, t_star) * abs(y_star[1])
-        assert y_star[1] == pytest.approx(-1.0, abs=1e-9)
 
     @pytest.mark.parametrize("fixed_step", [False, True])
     def test_contract_on_random_single_step_brackets(self, fixed_step):
@@ -475,20 +476,20 @@ class TestRefinement:
             opts = IntegratorOptions(h_init=h, h_max=0.5, fixed_step=fixed_step)
             t_left = rng.uniform(0.0, 20.0)
             y_left = (math.cos(t_left), -math.sin(t_left))
-            drv = DopriDriver(harmonic_field, opts).reset(t_left, y_left)
-            t0, y0, t1, y1 = drv.step(t_left + 1.0)
-            tc = t0 + rng.uniform(0.05, 0.95) * (t1 - t0)
+            drv, start, right = step_once(
+                harmonic_field, opts, t_left, y_left, t_left + 1.0
+            )
+            t0, y0, k0 = start
+            tc = t0 + rng.uniform(0.05, 0.95) * (right[0] - t0)
             a, b = math.sin(tc), math.cos(tc)
 
             def g(y):
                 return a * y[0] + b * y[1]
 
-            assert (g(y0) > 0.0) != (g(y1) > 0.0)
-            t_star, y_star = refine_event(harmonic_field, opts, t0, y0, t1, g)
-            assert t0 <= t_star <= t1
-            again = _attempt_kernel(2)(
-                harmonic_field, opts, y0, harmonic_field(y0), t_star - t0
-            )[0]
+            assert (g(y0) > 0.0) != (g(right[1]) > 0.0)
+            t_star, y_star = refine_event(drv, start, start[:2], right, g)
+            assert t0 <= t_star <= right[0]
+            again = _attempt_kernel(2)(harmonic_field, opts, y0, k0, t_star - t0)[0]
             assert y_star == again
             dg_dt = a * y_star[1] - b * y_star[0]
             assert abs(g(y_star)) <= 1e-11 * max(1.0, t_star) * abs(dg_dt)
@@ -514,7 +515,8 @@ class TestRefinement:
             t0, y0, t1, y1 = drv.step(10.0)
             g1 = p_r(y1)
             if prev_g > 1e-12 and g1 < -1e-12:
-                t_star, _ = refine_event(field, opts, prev_t, prev_y, t1, p_r)
+                start = (t0, y0, field(y0))
+                t_star, _ = refine_event(drv, start, (prev_t, prev_y), (t1, y1), p_r)
                 return t_star
             if abs(g1) > 1e-12:
                 prev_t, prev_y, prev_g = t1, y1, g1
