@@ -299,8 +299,9 @@ def monitor_run(
     """The one trajectory loop: integrate, watch sign changes, refine, report.
 
     field drives the state followed by the tangent (empty for the state
-    alone).  g_fn maps a joint state y, and its derivative k when given, to
-    (g, scale, dg/dt); g is live where |g| > _ARMING_REL * scale, and a live
+    alone); the driver measures the tangent's error as one block, against
+    the tangent's own size (integrate._attempt).  g_fn maps a joint state
+    y, and its derivative k when given, to (g, scale, dg/dt); g is live where |g| > _ARMING_REL * scale, and a live
     sign change against the last live sign (only a falling one, with
     falling_only) is an event; so are both of a pair of sign changes inside
     one step (integrate.live_points), in time order.  guard_fn(y0, y1)
@@ -328,7 +329,7 @@ def monitor_run(
             raise ValueError("seed tangent must be nonzero")
         inv = 1.0 / eta0_norm
         y0 = y0[:n] + tuple(c * inv for c in y0[n:])
-    drv = DopriDriver(field, opts).reset(0.0, y0)
+    drv = DopriDriver(field, opts, tangent=len(tangent)).reset(0.0, y0)
     log_accum = 0.0
     n_events = 0
     t_detect = t_end = None  # t_end: drv.t unless the guard stops the run

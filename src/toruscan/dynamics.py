@@ -7,8 +7,9 @@ the velocity form (x, y, vx, vy); polar canonical coordinates are converted
 on demand.
 
 The hot fields, ``flow_field`` and ``joint_field``, are each written once
-as a formula source and compiled into the callable and a DOP853 trial step
-with the body inlined (``integrate.make_field``); a wrapped field steps
+as a formula source and compiled into the callable and DOP853 trial steps
+with the body inlined, one per tangent block (``integrate.make_field``); a
+wrapped field steps
 through the call-through kernel with the same results.  The detector's
 g monitor, with g's time derivative, is compiled from the same gradient
 and Hessian statements.

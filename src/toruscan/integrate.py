@@ -7,6 +7,10 @@ supports:
 
 * adaptive steps with Gustafsson's predictive step controller, plus a
   fixed-step mode for bit-reproducible runs;
+* an error norm that scales each state component by its own size and the
+  tangent, the system's trailing block, by the block's largest component
+  (only the tangent's error relative to its size matters, since every
+  watched quantity is homogeneous in it);
 * location of a scalar observable's sign change inside the accepted step
   that holds it (``refine_event``, given the step's start and the two
   readings that bracket the change): from the secant root of the
@@ -16,25 +20,27 @@ supports:
 * sign changes inside one accepted step (``live_points``): a cubic
   Hermite through the observable's values and time derivatives at the
   step's ends predicts them, and a one-substep re-integration confirms
-  them.
+  them, also where the Hermite predicts a near-grazing extremum of the
+  right sign.
 
 One trial step has a readable reference, ``_attempt`` (a loop over the
 tableau's rows), and straight-line kernels that one generator writes out
 from the same rows with either stage body: a call of the field
-(``_attempt_kernel(n)``, per state dimension, for any field) or the field's
-own body inlined at every stage (``make_field`` compiles a field written
-once as a ``FieldSource`` into the callable and this kernel, as its
-``.attempt``; ``make_function`` compiles the callable alone).  Every
-component expression of a kernel performs the reference's operations in the
+(``_attempt_kernel(n, tangent)``, per state dimension and tangent block,
+for any field) or the field's own body inlined at every stage
+(``make_field`` compiles a field written once as a ``FieldSource`` into the
+callable and these kernels, as its ``.kernel(tangent)``;
+``make_function`` compiles the callable alone).  Every component
+expression of a kernel performs the reference's operations in the
 reference's order, so its ``(y_new, err)`` equal the reference's bit for
 bit.  An attempt does not evaluate the field at y_new: ``DopriDriver.step``
 does that once it accepts the step, so rejected attempts and the
 re-integrations, which read only y_new, do not pay for it.  Only the
 caller's trajectory loop calls ``DopriDriver.step``.
-``DopriDriver.reset`` picks the field's ``.attempt`` when it has one and
-the call-through kernel otherwise, and ``refine_event`` and ``live_points``
-re-integrate with the driver's pick; the tests compare both kernels with
-the reference.
+``DopriDriver.reset`` picks the field's ``.kernel`` for the driver's
+tangent block when the field has one and the call-through kernel
+otherwise, and ``refine_event`` and ``live_points`` re-integrate with the
+driver's pick; the tests compare both kernels with the reference.
 """
 
 from __future__ import annotations
@@ -183,13 +189,18 @@ def _weighted(row, ks, i):
     return functools.reduce(operator.add, terms)
 
 
-def _attempt(field, opts, y, k1, h):
+def _attempt(field, opts, y, k1, h, tangent=0):
     """One trial step from y with derivative k1; returns (y_new, err).
 
     err is DOP853's scaled error norm, h |e5|^2 / sqrt(n (|e5|^2 +
     0.01 |e3|^2)) with e5 and e3 the 5th- and 3rd-order estimates per
-    tolerance scale; 0.0 in fixed-step mode.  The field at y_new, the next
-    step's k1, is left to the caller.
+    tolerance scale; 0.0 in fixed-step mode.  A state component's scale is
+    abs_tol + rel_tol max(|y_i|, |y_new_i|).  The last ``tangent``
+    components, a tangent vector, share one scale: abs_tol + rel_tol times
+    the largest of their magnitudes at either end of the step, since only
+    the vector's error relative to its size matters (a component near 0 is
+    not held to abs_tol).  The field at y_new, the next step's k1, is left
+    to the caller.
     """
     def state(row):
         return tuple(yi + h * _weighted(row, ks, i) for i, yi in enumerate(y))
@@ -201,11 +212,19 @@ def _attempt(field, opts, y, k1, h):
     if opts.fixed_step:
         return y_new, 0.0
     rel, ab = opts.rel_tol, opts.abs_tol
+    split = len(y) - tangent
+    big = 0.0
+    for u in y[split:] + y_new[split:]:
+        u = u if u >= 0.0 else -u
+        big = u if u > big else big
     e5_sq = e3_sq = 0.0
     for i, (u, v) in enumerate(zip(y, y_new)):
-        u = u if u >= 0.0 else -u
-        v = v if v >= 0.0 else -v
-        sc = ab + rel * max(u, v)
+        if i < split:
+            u = u if u >= 0.0 else -u
+            v = v if v >= 0.0 else -v
+            sc = ab + rel * max(u, v)
+        else:
+            sc = ab + rel * big
         q5 = _weighted(_E5_ROW, ks, i) / sc
         q3 = _weighted(_E3_ROW, ks, i) / sc
         e5_sq += q5 * q5
@@ -231,15 +250,17 @@ def _weighted_sum(row, i):
     )
 
 
-def _kernel_lines(n: int, source: FieldSource | None = None) -> list:
-    """Body of _attempt written out for n-dimensional systems.
+def _kernel_lines(n: int, source: FieldSource | None = None, tangent: int = 0) -> list:
+    """Body of _attempt written out for n-dimensional systems whose last
+    ``tangent`` components share one error scale.
 
     Each component keeps the reference's expression and operand order:
     ``y_i + h * (c1 * k1_i + ...)`` for the stages and the solution, each
-    error estimate over the same tolerance scale, and the squares summed in
-    component order from 0.0.  ``|a|`` is spelled ``a if a >= 0.0 else -a``
-    and ``max(u, v)`` ``v if v > u else u``: the floats the builtins give,
-    -0.0 and NaN included, without their calls.  Float literals are the
+    error estimate over the same tolerance scale (the tangent block's scale
+    folded over its magnitudes at y, then at y_new, as the reference does),
+    and the squares summed in component order from 0.0.  ``|a|`` is spelled
+    ``a if a >= 0.0 else -a`` and ``max(u, v)`` ``v if v > u else u``: the
+    floats the builtins give, -0.0 and NaN included, without their calls.  Float literals are the
     constants' reprs, which round-trip exactly.
 
     Given the field's source, each stage binds its inputs to the stage
@@ -274,14 +295,29 @@ def _kernel_lines(n: int, source: FieldSource | None = None) -> list:
         "    return y_new, 0.0",
         "rel, ab = opts.rel_tol, opts.abs_tol",
     ]
-    for i in range(n):
+    def estimates(i):
+        return [
+            f"p_{i} = ({_weighted_sum(_E5_ROW, i)}) / sc",
+            f"q_{i} = ({_weighted_sum(_E3_ROW, i)}) / sc",
+        ]
+
+    split = n - tangent
+    for i in range(split):
         lines += [
             f"u = y_{i} if y_{i} >= 0.0 else -y_{i}",
             f"v = n_{i} if n_{i} >= 0.0 else -n_{i}",
             "sc = ab + rel * (v if v > u else u)",
-            f"p_{i} = ({_weighted_sum(_E5_ROW, i)}) / sc",
-            f"q_{i} = ({_weighted_sum(_E3_ROW, i)}) / sc",
+            *estimates(i),
         ]
+    if tangent:
+        lines.append("b = 0.0")
+        for prefix in ("y", "n"):
+            for i in range(split, n):
+                c = f"{prefix}_{i}"
+                lines += [f"u = {c} if {c} >= 0.0 else -{c}", "b = u if u > b else b"]
+        lines.append("sc = ab + rel * b")
+        for i in range(split, n):
+            lines += estimates(i)
     return lines + [
         "e5_sq = 0.0" + "".join(f" + p_{i} * p_{i}" for i in range(n)),
         "e3_sq = 0.0" + "".join(f" + q_{i} * q_{i}" for i in range(n)),
@@ -300,12 +336,15 @@ def _compile(head: str, lines, label: str):
 
 
 @functools.cache
-def _attempt_kernel(n: int):
-    """The straight-line equivalent of _attempt for n-dimensional systems."""
-    if n < 1:
-        raise ValueError(f"state dimension must be positive, got {n}")
+def _attempt_kernel(n: int, tangent: int):
+    """The straight-line equivalent of _attempt for n-dimensional systems
+    whose last ``tangent`` components are a tangent vector."""
+    if n < 1 or not 0 <= tangent <= n:
+        raise ValueError(f"need n >= 1 and 0 <= tangent <= n, got ({n}, {tangent})")
     return _compile(
-        "attempt(field, opts, y, k1, h)", _kernel_lines(n), f"dop853 attempt, n={n}"
+        "attempt(field, opts, y, k1, h)",
+        _kernel_lines(n, tangent=tangent),
+        f"dop853 attempt, n={n}, tangent={tangent}",
     )
 
 
@@ -323,26 +362,38 @@ def make_function(source: FieldSource, label: str, *, args="y", **constants):
 
 
 def make_field(source: FieldSource, label: str, **constants):
-    """The callable field of source, carrying its fused kernel as ``.attempt``.
+    """The callable field of source, carrying its fused kernels.
 
-    The kernel is _attempt with the field's body inlined at every stage, and
-    binds the constants as make_function does.
+    ``field.kernel(tangent)`` is _attempt with the field's body inlined at
+    every stage, for a system whose last ``tangent`` components are a
+    tangent vector, compiled once per block size.  The kernels bind the
+    constants as make_function does.
     """
     field = make_function(source, label, **constants)
-    field.attempt = _compile(
-        "attempt(field, opts, y, k1, h)",
-        _literals(constants) + _kernel_lines(len(source.inputs), source),
-        f"{label}, fused attempt",
-    )
+
+    @functools.cache
+    def kernel(tangent: int):
+        return _compile(
+            "attempt(field, opts, y, k1, h)",
+            _literals(constants) + _kernel_lines(len(source.inputs), source, tangent),
+            f"{label}, fused attempt, tangent={tangent}",
+        )
+
+    field.kernel = kernel
     return field
 
 
 class DopriDriver:
-    """Stateful stepper for one trajectory of an arbitrary-dimension system."""
+    """Stateful stepper for one trajectory of an arbitrary-dimension system
+    whose last ``tangent`` components (none by default) are a tangent
+    vector, measured in the error norm as one block."""
 
-    def __init__(self, field: Callable[[tuple], tuple], opts: IntegratorOptions):
+    def __init__(
+        self, field: Callable[[tuple], tuple], opts: IntegratorOptions, tangent: int = 0
+    ):
         self.field = field
         self.opts = opts
+        self.tangent = tangent
         self.t = 0.0
         self.y: tuple = ()
         self.h = opts.h_init
@@ -356,8 +407,11 @@ class DopriDriver:
         self.h = self.opts.h_init
         self._k1 = None
         self._h_prev = self._err_prev = 0.0
-        fused = getattr(self.field, "attempt", None)
-        self._attempt = fused or _attempt_kernel(len(self.y))
+        fused = getattr(self.field, "kernel", None)
+        if fused is None:
+            self._attempt = _attempt_kernel(len(self.y), self.tangent)
+        else:
+            self._attempt = fused(self.tangent)
         return self
 
     def step(self, t_limit: float):
@@ -421,9 +475,13 @@ class DopriDriver:
 
 
 # Events are located in time to _TIME_TOL relative; the polish gives up
-# after _MAX_ITER rounds.
+# after _MAX_ITER rounds.  live_points re-integrates at an extremum inside a
+# step where the Hermite predicts g there, against its sign, below
+# _NEAR_GRAZING times the smaller end reading: the cubic's own error can
+# hide a brief dip through 0.
 _TIME_TOL = 1e-11
 _MAX_ITER = 128
+_NEAR_GRAZING = 1e-2
 
 
 def refine_event(drv, start, left, right, g_of_y: Callable[[tuple], float]):
@@ -493,9 +551,12 @@ def live_points(drv, t0, y0, k0, ends, end_value, sign, live):
     read -sign (sign is the last sign read, 0 for none) a point inside the
     step where g has the sign -sign comes first, if there is one.  ends
     holds g and dg/dt at t0 and drv.t, and the cubic Hermite through them
-    predicts g's extremum against sign; only a predicted sign change there
-    is checked, on the one-substep re-integration from (y0, k0) with the
-    kernel of drv, by live(y)[0]: g where it counts, 0.0 elsewhere.
+    predicts g's extremum against sign.  Where it predicts sign * g there
+    below 0, or below _NEAR_GRAZING times the smaller of sign * g0 and
+    sign * g1 (a near-grazing step, where the cubic's own error can exceed
+    the dip), the extremum is checked on the one-substep re-integration
+    from (y0, k0) with the kernel of drv, by live(y)[0]: g where it counts,
+    0.0 elsewhere.  Only a sign change found there adds a point.
     """
     points = [(drv.t, drv.y, end_value)]
     if sign == 0 or sign * end_value < 0.0:
@@ -511,7 +572,8 @@ def live_points(drv, t0, y0, k0, ends, end_value, sign, live):
     if not disc >= 0.0:
         return points
     q = -(c2 + math.copysign(math.sqrt(disc), c2))
-    best, s_best = 0.0, None
+    low = sign * g0 if sign * g0 < sign * g1 else sign * g1
+    best, s_best = (_NEAR_GRAZING * low if low > 0.0 else 0.0), None
     for s in (q / (3.0 * c3) if c3 != 0.0 else -1.0, m0 / q if q != 0.0 else -1.0):
         if 0.0 < s < 1.0:
             p = sign * (g0 + s * (m0 + s * (c2 + s * c3)))

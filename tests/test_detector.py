@@ -482,7 +482,7 @@ class TestInStepSignChanges:
         seen = []
         self.run(lambda t, y: seen.append((t, y)))
         assert len(seen) == 2 and all(t0 < t < t1 for t, _ in seen)
-        kernel = _attempt_kernel(2)
+        kernel = _attempt_kernel(2, 1)
         for t_star, y_star in seen:
             assert y_star == kernel(self.field, self.OPTS, y0, k0, t_star - t0)[0]
 
@@ -510,7 +510,7 @@ class TestInStepSignChanges:
         # It still reads root - x > 0: the event is polished inside the step.
         [(t_star, y_star)] = self.stretch_events(0.5 * (t0 + t1))
         assert t_star == pytest.approx(0.5 * (t0 + t1), abs=1e-11)
-        kernel = _attempt_kernel(2)
+        kernel = _attempt_kernel(2, 1)
         assert y_star == kernel(self.field, self.OPTS, y0, k0, t_star - t0)[0]
 
 
@@ -588,7 +588,7 @@ class TestTrajectoryLoop:
         # Inside refine_event the field is evaluated by polish attempts only,
         # 11 stages each, and the driver takes no step.
         inside, evals, attempts, steps, calls = [], [0], [0], [0], []
-        kernel = _attempt_kernel(2)
+        kernel = _attempt_kernel(2, 0)
 
         def field(y):
             evals[0] += 1
@@ -598,7 +598,7 @@ class TestTrajectoryLoop:
             attempts[0] += bool(inside)
             return kernel(*args)
 
-        field.attempt = attempt
+        field.kernel = lambda tangent: attempt
         step, refine = DopriDriver.step, detector.refine_event
 
         def counted_step(drv, t_limit):
@@ -681,10 +681,14 @@ class TestReferenceCells:
             ("scan_mu01_symmetric", (72, 50), 5.5947046210),
             # Step ends read g/scale 0.07 and 0.04 around the crossing.
             ("scan_mu01_symmetric", (22, 44), 0.4661616300),
-            # A crossing that end-only sign tests stepped over at rel_tol 1e-10.
+            # A crossing that end-only sign tests stepped over at rel_tol
+            # 1e-10; a near-grazing step, as (21, 74).
             ("scan_mu01_symmetric", (22, 59), 0.2524877339),
             # Fired at 6.905 at rel_tol 1e-10 and at 5.641 at 1e-12.
             ("scan_mu01_reference", (72, 47), 5.6405856868),
+            # A near-grazing step: the Hermite predicts a small positive
+            # minimum (at rel_tol 1e-10) while g dips through 0 inside it.
+            ("scan_mu01_symmetric", (21, 74), 0.1392576588),
         ],
     )
     def test_fires_where_the_crossing_is(self, recipe, cell, t_detect):

@@ -1,3 +1,4 @@
+import functools
 import math
 import random
 
@@ -15,6 +16,7 @@ from toruscan.integrate import (
     StepUnderflowError,
     _attempt,
     _attempt_kernel,
+    live_points,
     refine_event,
 )
 
@@ -126,20 +128,38 @@ class TestDop853Tableau:
             assert np.allclose(y_new, y_ref, rtol=1e-14, atol=0.0)
             assert np.allclose(field(y_new), f_ref, rtol=1e-13, atol=1e-15)
 
-    @pytest.mark.parametrize("n", [1, 4, 8])
-    def test_error_norm_matches_scipy_formula(self, n):
+    @pytest.mark.parametrize(
+        "n, tangent",
+        [
+            pytest.param(1, 0, id="1"),
+            pytest.param(4, 0, id="4"),
+            pytest.param(8, 0, id="8"),
+            pytest.param(8, 4, id="8-tangent4"),
+            pytest.param(4, 2, id="4-tangent2"),
+        ],
+    )
+    def test_error_norm_matches_scipy_formula(self, n, tangent):
         # Scripted stage derivatives, so that the estimates are sums without
-        # cancellation and the norm's formula alone is compared.
+        # cancellation and the norm's formula alone is compared.  The last
+        # `tangent` components share the largest of their magnitudes at
+        # either end as their scale; some of them start at exactly 0, as
+        # the symmetric seed tangent does.
         rk = pytest.importorskip("scipy.integrate._ivp.rk")
-        rng = random.Random(20261021 + n)
+        rng = random.Random(20261021 + n + 10 * tangent)
         opts = IntegratorOptions(rel_tol=1e-6, abs_tol=1e-8)
+        split = n - tangent
         for _ in range(100):
             ks = [tuple(rng.uniform(-3.0, 3.0) for _ in range(n)) for _ in range(13)]
             scripted = iter(ks[1:])
-            y = tuple(rng.uniform(-2.0, 2.0) for _ in range(n))
+            y = [rng.uniform(-2.0, 2.0) for _ in range(n)]
+            for i in range(split, n):
+                y[i] *= rng.choice((0.0, 1e-3, 1.0, 1e3))
+            y = tuple(y)
             h = rng.uniform(1e-3, 1e-1)
-            y_new, err = _attempt(lambda u: next(scripted), opts, y, ks[0], h)
-            scale = opts.abs_tol + opts.rel_tol * np.maximum(np.abs(y), np.abs(y_new))
+            y_new, err = _attempt(lambda u: next(scripted), opts, y, ks[0], h, tangent)
+            size = np.maximum(np.abs(y), np.abs(y_new))
+            size[split:] = size[split:].max(initial=0.0)
+            scale = opts.abs_tol + opts.rel_tol * size
             err_ref = rk.DOP853._estimate_error_norm(rk.DOP853, np.array(ks), h, scale)
             assert err == pytest.approx(err_ref, rel=1e-12)
 
@@ -164,37 +184,71 @@ def pendulum_like_field(y):
     return (v, -math.sin(x))
 
 
+def random_state(rng, n, tangent):
+    """Components in [-2, 2]; the tangent block's start at exactly 0 or
+    1e-300 now and then, so that the block's scale and the signed zeros of
+    the magnitudes are exercised."""
+    y = [rng.uniform(-2.0, 2.0) for _ in range(n)]
+    for i in range(n - tangent, n):
+        y[i] *= rng.choice((1.0, 1.0, 0.0, -0.0, 1e-300))
+    return tuple(y)
+
+
 class TestAttemptKernel:
     """The straight-line kernel against the reference _attempt."""
 
     FIELDS = {2: pendulum_like_field, 4: flow_field(0.1), 8: joint_field(0.1)}
 
-    @pytest.mark.parametrize("n", [2, 4, 8])
+    @pytest.mark.parametrize(
+        "n, tangent",
+        [
+            pytest.param(2, 0, id="2"),
+            pytest.param(4, 0, id="4"),
+            pytest.param(8, 0, id="8"),
+            pytest.param(4, 2, id="4-tangent2"),
+            pytest.param(8, 4, id="8-tangent4"),
+            pytest.param(2, 2, id="2-tangent2"),
+        ],
+    )
     @pytest.mark.parametrize(
         "opts",
         [IntegratorOptions(), IntegratorOptions(fixed_step=True)],
         ids=["adaptive", "fixed-step"],
     )
-    def test_bit_identical_to_reference(self, n, opts):
-        rng = random.Random(20240817 + n)
+    def test_bit_identical_to_reference(self, n, tangent, opts):
+        rng = random.Random(20240817 + n + 10 * tangent)
         field = self.FIELDS[n]
-        kernel = _attempt_kernel(n)
+        kernel = _attempt_kernel(n, tangent)
         for _ in range(200):
-            y = tuple(rng.uniform(-2.0, 2.0) for _ in range(n))
+            y = random_state(rng, n, tangent)
             h = rng.uniform(1e-5, 1e-1)
             k1 = field(y)
-            assert kernel(field, opts, y, k1, h) == _attempt(field, opts, y, k1, h)
+            expected = _attempt(field, opts, y, k1, h, tangent)
+            assert kernel(field, opts, y, k1, h) == expected
+
+    @pytest.mark.parametrize("tangent", [0, 4])
+    def test_tangent_block_changes_only_the_error(self, tangent):
+        # The block scale is the block's largest magnitude: a tangent with a
+        # zero component is measured against its size, not against abs_tol.
+        field, opts = joint_field(0.1), IntegratorOptions()
+        y = (1.3, 0.0, 0.0, -0.4, 0.0, -0.7, 0.7, 0.0)
+        plain = _attempt(field, opts, y, field(y), 0.05)
+        block = _attempt(field, opts, y, field(y), 0.05, 4)
+        assert block[0] == plain[0] and block[1] < plain[1]
+        assert _attempt_kernel(8, 4)(field, opts, y, field(y), 0.05) == block
 
     def test_driver_steps_with_kernel_and_matches_reference_trajectory(self):
-        # A field compiled from a formula source steps with its fused kernel.
+        # A field compiled from a formula source steps with its fused kernel
+        # for the driver's tangent block.
         y0 = (1.3, 0.0, 0.0, -0.4, 1.0, 0.0, 0.0, 0.0)
-        fast = DopriDriver(joint_field(0.1), IntegratorOptions()).reset(0.0, y0)
-        assert fast._attempt is joint_field(0.1).attempt
-        slow = DopriDriver(joint_field(0.1), IntegratorOptions()).reset(0.0, y0)
-        slow._attempt = _attempt
-        for _ in range(200):
-            assert fast.step(50.0) == slow.step(50.0)
-            assert fast.h == slow.h
+        for tangent in (0, 4):
+            fast = DopriDriver(joint_field(0.1), IntegratorOptions(), tangent)
+            assert fast.reset(0.0, y0)._attempt is joint_field(0.1).kernel(tangent)
+            slow = DopriDriver(joint_field(0.1), IntegratorOptions()).reset(0.0, y0)
+            slow._attempt = functools.partial(_attempt, tangent=tangent)
+            for _ in range(200):
+                assert fast.step(50.0) == slow.step(50.0)
+                assert fast.h == slow.h
 
 
 # The four formula sources: flow and joint fields, each at mu > 0 and mu = 0.
@@ -215,27 +269,33 @@ class TestFusedKernel:
         ids=["adaptive", "fixed-step"],
     )
     def test_bit_identical_to_reference(self, factory, mu, opts):
+        # Each field's kernels for no tangent block and for a block of 2
+        # (the flow) or 4 (the joint system's tangent).
         field = factory(mu)
         n = 4 if factory is flow_field else 8
         rng = random.Random(20240817 + n + int(10 * mu))
-        for _ in range(200):
-            y = tuple(rng.uniform(-2.0, 2.0) for _ in range(n))
-            h = rng.uniform(1e-5, 1e-1)
-            k1 = field(y)
-            fused = field.attempt(field, opts, y, k1, h)
-            assert fused == _attempt(field, opts, y, k1, h)
-            assert fused == _attempt_kernel(n)(field, opts, y, k1, h)
+        for tangent in (0, n // 2):
+            fused_kernel = field.kernel(tangent)
+            for _ in range(200):
+                y = random_state(rng, n, tangent)
+                h = rng.uniform(1e-5, 1e-1)
+                k1 = field(y)
+                fused = fused_kernel(field, opts, y, k1, h)
+                assert fused == _attempt(field, opts, y, k1, h, tangent)
+                assert fused == _attempt_kernel(n, tangent)(field, opts, y, k1, h)
 
     @pytest.mark.parametrize("factory, mu", SOURCES)
     def test_driver_trajectory_matches_reference(self, factory, mu):
         y0 = (1.3, 0.0, 0.0, -0.4, 1.0, 0.0, 0.0, 0.0)
         y0 = y0[:4] if factory is flow_field else y0
-        fast = DopriDriver(factory(mu), IntegratorOptions()).reset(0.0, y0)
-        slow = DopriDriver(factory(mu), IntegratorOptions()).reset(0.0, y0)
-        slow._attempt = _attempt
-        for _ in range(200):
-            assert fast.step(500.0) == slow.step(500.0)
-            assert fast.h == slow.h
+        tangent = len(y0) // 2
+        for split in (0, tangent):
+            fast = DopriDriver(factory(mu), IntegratorOptions(), split).reset(0.0, y0)
+            slow = DopriDriver(factory(mu), IntegratorOptions()).reset(0.0, y0)
+            slow._attempt = functools.partial(_attempt, tangent=split)
+            for _ in range(200):
+                assert fast.step(500.0) == slow.step(500.0)
+                assert fast.h == slow.h
 
     def test_counting_wrapper_steps_through_call_through_kernel(self):
         # A field wrapped the way a tracer wraps it has no fused kernel; its
@@ -253,7 +313,7 @@ class TestFusedKernel:
         opts = IntegratorOptions(h_init=0.1)
         fused = DopriDriver(field, opts).reset(0.0, y0)
         wrapped = DopriDriver(counted, opts).reset(0.0, y0)
-        assert wrapped._attempt is _attempt_kernel(8)
+        assert wrapped._attempt is _attempt_kernel(8, 0)
         attempts = [0]
         kernel = wrapped._attempt
 
@@ -267,6 +327,18 @@ class TestFusedKernel:
             assert wrapped.h == fused.h
         assert attempts[0] > 200  # the trajectory has rejected attempts
         assert calls[0] == 11 * attempts[0] + 200 + 1
+
+    def test_wrapped_field_keeps_the_tangent_block(self):
+        # The driver's tangent block reaches the call-through kernel, so a
+        # wrapped joint field takes the fused kernel's steps.
+        field = joint_field(0.1)
+        y0 = (1.3, 0.0, 0.0, -0.4, 0.0, -0.7, 0.7, 0.0)
+        fused = DopriDriver(field, IntegratorOptions(), 4).reset(0.0, y0)
+        wrapped = DopriDriver(lambda y: field(y), IntegratorOptions(), 4).reset(0.0, y0)
+        assert wrapped._attempt is _attempt_kernel(8, 4)
+        for _ in range(200):
+            assert wrapped.step(50.0) == fused.step(50.0)
+            assert wrapped.h == fused.h
 
 
 def reference_controller(opts, h, rest, errs, prev):
@@ -460,7 +532,8 @@ class TestRefinement:
             drv, start, (t0, y0), (t1, y1), lambda y: y[0]
         )
         assert t0 < t_star < t1
-        again = _attempt_kernel(2)(harmonic_field, opts, y0, start[2], t_star - t0)[0]
+        kernel = _attempt_kernel(2, 0)
+        again = kernel(harmonic_field, opts, y0, start[2], t_star - t0)[0]
         assert y_star == again
         # |g| within the time tolerance times |dg/dt| = |v|.
         assert abs(y_star[0]) <= 1e-11 * max(1.0, t_star) * abs(y_star[1])
@@ -489,7 +562,7 @@ class TestRefinement:
             assert (g(y0) > 0.0) != (g(right[1]) > 0.0)
             t_star, y_star = refine_event(drv, start, start[:2], right, g)
             assert t0 <= t_star <= right[0]
-            again = _attempt_kernel(2)(harmonic_field, opts, y0, k0, t_star - t0)[0]
+            again = _attempt_kernel(2, 0)(harmonic_field, opts, y0, k0, t_star - t0)[0]
             assert y_star == again
             dg_dt = a * y_star[1] - b * y_star[0]
             assert abs(g(y_star)) <= 1e-11 * max(1.0, t_star) * abs(dg_dt)
@@ -532,6 +605,43 @@ class TestRefinement:
         err_loose = abs(self._apsis_time(1e-8) - expected)
         err_tight = abs(self._apsis_time(1e-10) - expected)
         assert err_tight <= err_loose
+
+
+class TestLivePoints:
+    """live_points on a clock x' = 1, whose g is a function of time: its
+    values and slopes at the step's ends are those of the quadratic
+    1 - 4 a s (1 - s) (s the fraction of the step, minimum 1 - a at s =
+    1/2), which the cubic Hermite through them reproduces, and a bump
+    -16 b (s (1 - s))^2, flat at both ends, takes the true g down by b."""
+
+    @staticmethod
+    def points(a, b):
+        drv = DopriDriver(lambda y: (1.0,), IntegratorOptions(), 0).reset(0.0, (0.0,))
+        t0, y0, t1, y1 = drv.step(5.0)
+        h = t1 - t0
+
+        def g(y):
+            s = (y[0] - t0) / h
+            w = s * (1.0 - s)
+            return 1.0 - 4.0 * a * w - 16.0 * b * w * w
+
+        ends = (g(y0), -4.0 * a / h, g(y1), 4.0 * a / h)
+        return live_points(drv, t0, y0, (1.0,), ends, 1.0, 1, lambda y: (g(y),)), t0, h
+
+    def test_near_grazing_prediction_is_confirmed(self):
+        # The Hermite predicts a minimum of +0.005, inside 1% of the end
+        # readings 1.0; the true g reaches -0.005 there.
+        points, t0, h = self.points(0.995, 0.01)
+        assert len(points) == 2
+        t, y, g = points[0]
+        assert t == pytest.approx(t0 + 0.5 * h, rel=1e-12)
+        assert g == pytest.approx(-0.005, rel=1e-9)
+
+    def test_prediction_above_the_margin_is_not_checked(self):
+        # A predicted minimum of +0.015 is not checked, although the true g
+        # reaches -0.005.
+        points, t0, h = self.points(0.985, 0.02)
+        assert [p[2] for p in points] == [pytest.approx(1.0)]
 
 
 class TestTangentFlowProperties:

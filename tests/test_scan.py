@@ -169,6 +169,36 @@ class TestRunScan:
                 )
 
 
+class TestMirrorSymmetry:
+    """Rotation by pi maps the system at mu to the system at 1 - mu, so a
+    scan of the negative-x plane at mu = 0.1 equals a scan of the positive-x
+    plane at 0.9 (its mirrored system, which warns), cell by cell.  0.1 and
+    0.9 are not an exact float pair (1 - 0.9 != 0.1), so the located times
+    agree to a tolerance, not bit for bit."""
+
+    SPEC = dict(r_min=0.1, r_max=4.0, n_r=12, L_min=-2.5, L_max=2.5, n_L=12)
+
+    @pytest.mark.parametrize(
+        "formulation", [Formulation.GENERAL, Formulation.SYMMETRIC], ids=str.lower
+    )
+    def test_thetapi_scan_equals_theta0_scan_of_the_mirrored_system(self, formulation):
+        cfg = DetectorConfig(t_out=10.0, formulation=formulation)
+        a = run_scan(PlaneSeedSpec(plane=Plane.THETA_PI, mu=0.1, **self.SPEC), cfg)
+        with pytest.warns(UserWarning, match="mirrored system"):
+            b = run_scan(PlaneSeedSpec(plane=Plane.THETA0, mu=0.9, **self.SPEC), cfg)
+        fired = 0
+        for row_a, row_b in zip(a.cells, b.cells):
+            for out_a, out_b in zip(row_a, row_b):
+                assert out_a.classification is out_b.classification
+                if out_a.t_detect is None:
+                    assert out_b.t_detect is None
+                    continue
+                fired += 1
+                scale = max(1.0, out_a.t_detect)
+                assert abs(out_a.t_detect - out_b.t_detect) <= 1e-8 * scale
+        assert fired > 10
+
+
 class TestBothFormulation:
     """`both` never finds less than either formulation alone."""
 
