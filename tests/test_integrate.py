@@ -226,8 +226,7 @@ class TestAttemptKernel:
             expected = _attempt(field, opts, y, k1, h, tangent)
             assert kernel(field, opts, y, k1, h) == expected
 
-    @pytest.mark.parametrize("tangent", [0, 4])
-    def test_tangent_block_changes_only_the_error(self, tangent):
+    def test_tangent_block_changes_only_the_error(self):
         # The block scale is the block's largest magnitude: a tangent with a
         # zero component is measured against its size, not against abs_tol.
         field, opts = joint_field(0.1), IntegratorOptions()
