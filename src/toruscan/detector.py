@@ -301,20 +301,21 @@ def monitor_run(
     field drives the state followed by the tangent (empty for the state
     alone); the driver measures the tangent's error as one block, against
     the tangent's own size (integrate._attempt).  g_fn maps a joint state
-    y, and its derivative k when given, to (g, scale, dg/dt); g is live where |g| > _ARMING_REL * scale, and a live
-    sign change against the last live sign (only a falling one, with
-    falling_only) is an event; so are both of a pair of sign changes inside
-    one step (integrate.live_points), in time order.  guard_fn(y0, y1)
-    flags a step that ends the run as (kind, where): where is the fraction
-    of the step at which the run stops, or a function of y whose sign
-    change on the step refine_event locates as that point.  An event
-    before it (a flagged step is still searched) is located by
-    refine_event, counted and passed to on_event(t, y), which returns True
-    when it is the detection (without on_event, every event is).  Returns
-    the outcome with C, the caller's conserved quantity at the seed.  Its
-    diagnostics give the reached time t_end (the guard's stop point, if
-    any), what cut the run short of t_out (truncation; with reason and
-    detail for a step underflow before any detection), then extra.
+    y, and its derivative k when given, to (g, scale, dg/dt); g is live
+    where |g| > _ARMING_REL * scale, and a live sign change against the
+    last live sign (only a falling one, with falling_only) is an event; so
+    are both of a pair of sign changes inside one step
+    (integrate.live_points), in time order.  guard_fn(y0, y1) flags a step
+    that ends the run as (kind, where): where is the fraction of the step
+    at which the run stops, or a function of y whose sign change on the
+    step refine_event locates as that point.  An event before it (a flagged
+    step is still searched) is located by refine_event, counted and passed
+    to on_event(t, y), which returns True when it is the detection (without
+    on_event, every event is).  Returns the outcome with C, the caller's
+    conserved quantity at the seed.  Its diagnostics give the reached time
+    t_end (the guard's stop point, if any), what cut the run short of t_out
+    (truncation; with reason and detail for a step underflow before any
+    detection), then extra.
 
     A seed tangent is normalized to unit length before integration: every
     monitored quantity is degree-1 homogeneous in the tangent and the

@@ -9,10 +9,9 @@ on demand.
 The hot fields, ``flow_field`` and ``joint_field``, are each written once
 as a formula source and compiled into the callable and DOP853 trial steps
 with the body inlined, one per tangent block (``integrate.make_field``); a
-wrapped field steps
-through the call-through kernel with the same results.  The detector's
-g monitor, with g's time derivative, is compiled from the same gradient
-and Hessian statements.
+wrapped field steps through the call-through kernel with the same results.
+The detector's g monitor, with g's time derivative, is compiled from the
+same gradient and Hessian statements.
 ``potential_gradient`` is the readable gradient behind ``vector_field`` and
 ``grad_hamiltonian``, which evaluate seeds and section points, not steps.
 

@@ -260,8 +260,8 @@ def _kernel_lines(n: int, source: FieldSource | None = None, tangent: int = 0) -
     folded over its magnitudes at y, then at y_new, as the reference does),
     and the squares summed in component order from 0.0.  ``|a|`` is spelled
     ``a if a >= 0.0 else -a`` and ``max(u, v)`` ``v if v > u else u``: the
-    floats the builtins give, -0.0 and NaN included, without their calls.  Float literals are the
-    constants' reprs, which round-trip exactly.
+    floats the builtins give, -0.0 and NaN included, without their calls.
+    Float literals are the constants' reprs, which round-trip exactly.
 
     Given the field's source, each stage binds its inputs to the stage
     state's components and runs its body in place of the field call.
@@ -295,6 +295,7 @@ def _kernel_lines(n: int, source: FieldSource | None = None, tangent: int = 0) -
         "    return y_new, 0.0",
         "rel, ab = opts.rel_tol, opts.abs_tol",
     ]
+
     def estimates(i):
         return [
             f"p_{i} = ({_weighted_sum(_E5_ROW, i)}) / sc",

@@ -287,11 +287,10 @@ class TestFusedKernel:
     def test_driver_trajectory_matches_reference(self, factory, mu):
         y0 = (1.3, 0.0, 0.0, -0.4, 1.0, 0.0, 0.0, 0.0)
         y0 = y0[:4] if factory is flow_field else y0
-        tangent = len(y0) // 2
-        for split in (0, tangent):
-            fast = DopriDriver(factory(mu), IntegratorOptions(), split).reset(0.0, y0)
+        for tangent in (0, len(y0) // 2):
+            fast = DopriDriver(factory(mu), IntegratorOptions(), tangent).reset(0.0, y0)
             slow = DopriDriver(factory(mu), IntegratorOptions()).reset(0.0, y0)
-            slow._attempt = functools.partial(_attempt, tangent=split)
+            slow._attempt = functools.partial(_attempt, tangent=tangent)
             for _ in range(200):
                 assert fast.step(500.0) == slow.step(500.0)
                 assert fast.h == slow.h
